@@ -219,7 +219,6 @@ pub struct Orchestrator {
     progress: bool,
     baseline_cache: bool,
     dispatch: DispatchTier,
-    batch_lanes: usize,
     profile: bool,
 }
 
@@ -236,7 +235,6 @@ impl Orchestrator {
             progress: false,
             baseline_cache: true,
             dispatch: DispatchTier::default(),
-            batch_lanes: 8,
             profile: false,
         }
     }
@@ -284,29 +282,11 @@ impl Orchestrator {
 
     /// Select the execution tier for every simulation (default:
     /// [`DispatchTier::Threaded`], the fused-superblock interpreter).
-    /// The slower tiers are the `--dispatch predecode|legacy` escape
-    /// hatches and produce byte-identical reports (the CI golden diffs
-    /// pin exactly that). [`DispatchTier::Batched`] additionally groups
-    /// same-benchmark jobs into lockstep batches of up to
-    /// [`Orchestrator::batch_lanes`] lanes.
+    /// The legacy tier is the `--dispatch legacy` escape hatch and
+    /// produces byte-identical reports (the CI golden diffs pin exactly
+    /// that).
     pub fn dispatch(mut self, tier: DispatchTier) -> Self {
         self.dispatch = tier;
-        self
-    }
-
-    /// Maximum lanes per lockstep batch when running under
-    /// [`DispatchTier::Batched`] (default 8; clamped to ≥ 1). With
-    /// `1`, every job takes the scalar path with the batched
-    /// interpreter (a single-lane batch — the degenerate escape
-    /// hatch). Batching changes only host-side scheduling: jobs of the
-    /// same benchmark share one superblock dispatch walk, but each
-    /// lane's report is byte-identical to its scalar run, and a lane
-    /// that fails its batched first attempt is re-run from scratch
-    /// through the full scalar budgeted retry loop (deterministic, so
-    /// the fallback reproduces exactly what a scalar sweep would
-    /// report).
-    pub fn batch_lanes(mut self, lanes: usize) -> Self {
-        self.batch_lanes = lanes.max(1);
         self
     }
 
@@ -335,13 +315,6 @@ impl Orchestrator {
     /// baseline-cycle table outlive the run for reporting and tests.
     pub fn run_inner(&self, matrix: &JobMatrix) -> (Vec<JobOutcome>, Option<BaselineCache>) {
         let cache = self.baseline_cache.then(BaselineCache::new);
-        if self.dispatch == DispatchTier::Batched
-            && self.batch_lanes > 1
-            && cache.is_some()
-            && matrix.len() > 1
-        {
-            return self.run_inner_batched(matrix, cache);
-        }
         let total = matrix.len();
         let done = AtomicUsize::new(0);
         let run_one = |index: usize| -> JobOutcome {
@@ -400,172 +373,6 @@ impl Orchestrator {
             tel.count("orchestrator.baseline.reused", cache.reused());
         }
         outcomes
-    }
-
-    /// The batch-compatible grouping pass: jobs are grouped by
-    /// benchmark (matrix order preserved within each group — a sweep
-    /// interleaves benchmarks across config groups, so grouping is by
-    /// name, not adjacency), chunked to at most `batch_lanes` lanes,
-    /// and each chunk's first attempt runs as one lockstep batch
-    /// through [`runner::run_batch`]. Chunks are scheduled across the
-    /// worker pool; outcomes are scattered back into job-index slots so
-    /// aggregation order is unchanged. Lanes whose batched first
-    /// attempt fails are re-run through the full scalar budgeted loop
-    /// (see [`Orchestrator::batch_lanes`]).
-    fn run_inner_batched(
-        &self,
-        matrix: &JobMatrix,
-        cache: Option<BaselineCache>,
-    ) -> (Vec<JobOutcome>, Option<BaselineCache>) {
-        let cache_ref = cache
-            .as_ref()
-            .expect("batched pass requires the baseline cache");
-        let mut groups: Vec<(&str, Vec<usize>)> = Vec::new();
-        for (index, spec) in matrix.jobs().iter().enumerate() {
-            match groups
-                .iter_mut()
-                .find(|(name, _)| *name == spec.benchmark.as_str())
-            {
-                Some((_, indices)) => indices.push(index),
-                None => groups.push((spec.benchmark.as_str(), vec![index])),
-            }
-        }
-        let chunks: Vec<Vec<usize>> = groups
-            .into_iter()
-            .flat_map(|(_, indices)| {
-                indices
-                    .chunks(self.batch_lanes)
-                    .map(<[usize]>::to_vec)
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        let total = matrix.len();
-        let done = AtomicUsize::new(0);
-        let run_chunk = |chunk_index: usize| -> Vec<JobOutcome> {
-            let outcomes = self.run_batch_chunk(&chunks[chunk_index], matrix, cache_ref);
-            if self.progress {
-                for outcome in &outcomes {
-                    let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
-                    eprintln!(
-                        "[{finished}/{total}] {:<8} {} {} (attempt {})",
-                        outcome.status(),
-                        outcome.spec.benchmark,
-                        outcome.spec.label,
-                        outcome.attempts,
-                    );
-                }
-            }
-            outcomes
-        };
-        let per_chunk = parallel_map(self.jobs, chunks.len(), run_chunk);
-        let mut slots: Vec<Option<JobOutcome>> = (0..total).map(|_| None).collect();
-        for outcome in per_chunk.into_iter().flatten() {
-            let index = outcome.index;
-            slots[index] = Some(outcome);
-        }
-        (
-            slots
-                .into_iter()
-                .map(|slot| slot.expect("every job resolved"))
-                .collect(),
-            cache,
-        )
-    }
-
-    /// Run one same-benchmark chunk as a lockstep batch. Falls back to
-    /// scalar jobs when the benchmark is unknown, the shared baseline
-    /// failed, or the compiled program is unavailable — and per lane
-    /// when that lane's batched first attempt fails (the scalar rerun
-    /// is deterministic, so it reproduces the failure and then applies
-    /// the normal retry policy).
-    fn run_batch_chunk(
-        &self,
-        chunk: &[usize],
-        matrix: &JobMatrix,
-        cache: &BaselineCache,
-    ) -> Vec<JobOutcome> {
-        let scalar_all = || -> Vec<JobOutcome> {
-            chunk
-                .iter()
-                .map(|&i| self.run_job(i, matrix.jobs()[i].clone(), Some(cache)))
-                .collect()
-        };
-        let name = &matrix.jobs()[chunk[0]].benchmark;
-        let Some(bench) = benchmark_by_name(name) else {
-            return scalar_all();
-        };
-        // Same baseline/prepared/watchdog derivation as the scalar
-        // budgeted runner's first attempt, so a successful batched lane
-        // is byte-identical to its scalar run.
-        let baseline = cache.get_or_compute(
-            bench.as_ref(),
-            self.scale,
-            self.dataset,
-            self.budget.max_cycles,
-            DispatchTier::Batched,
-        );
-        let prepared = cache.prepared(bench.as_ref(), self.scale);
-        let (Ok(baseline), Some(prepared)) = (baseline, prepared) else {
-            // Cached baseline failure or codegen failure: the scalar
-            // path reproduces and classifies it per job.
-            return scalar_all();
-        };
-        let memo_max_cycles = match self.budget.derived {
-            Some(derived) => derived.watchdog(baseline.stats.cycles, self.budget.max_cycles),
-            None => self.budget.max_cycles,
-        };
-        let started = std::time::Instant::now();
-        let cells: Vec<runner::BatchCell> = chunk
-            .iter()
-            .map(|&i| runner::BatchCell {
-                memo: matrix.jobs()[i].memo.clone(),
-                max_cycles: memo_max_cycles,
-                plan: None,
-            })
-            .collect();
-        let mut tels: Vec<Telemetry> = chunk
-            .iter()
-            .map(|_| {
-                let mut tel = Telemetry::off();
-                if self.profile {
-                    tel.profiler_mut().enable();
-                }
-                tel
-            })
-            .collect();
-        let reports = runner::run_batch(
-            bench.as_ref(),
-            self.scale,
-            self.dataset,
-            &baseline,
-            &prepared,
-            &cells,
-            &mut tels,
-        );
-        let wall_ms = started.elapsed().as_millis() as u64;
-        chunk
-            .iter()
-            .zip(reports)
-            .zip(tels)
-            .map(|((&index, report), tel)| {
-                let spec = matrix.jobs()[index].clone();
-                match report {
-                    Ok(report) => JobOutcome {
-                        index,
-                        attempts: 1,
-                        faults_cleared: false,
-                        sim_cycles: report.result.memo_stats.cycles,
-                        // Host wall clock of the whole chunk (wall_ms
-                        // feeds only the text report's load totals).
-                        wall_ms,
-                        result: Ok(report.result),
-                        spec,
-                        profile: tel.take_profile(),
-                    },
-                    Err(_) => self.run_job(index, spec, Some(cache)),
-                }
-            })
-            .collect()
     }
 
     fn run_job(&self, index: usize, spec: JobSpec, cache: Option<&BaselineCache>) -> JobOutcome {
@@ -769,55 +576,6 @@ mod tests {
         assert_eq!(out, vec![0, 2]);
         let distinct = ids.lock().expect("id set poisoned").len();
         assert!(distinct <= 2, "spawned {distinct} workers for 2 items");
-    }
-
-    #[test]
-    fn batched_sweep_matches_scalar_sweeps_exactly() {
-        // Benchmarks deliberately interleaved across config groups (the
-        // fault-sweep layout): the grouping pass must batch by name,
-        // not adjacency.
-        let mut m = JobMatrix::new();
-        m.product(
-            &["blackscholes", "fft"],
-            &[
-                ("L1 4K".to_string(), MemoConfig::l1_only(4096)),
-                ("L1 8K".to_string(), MemoConfig::l1_only(8192)),
-                ("L1+L2".to_string(), MemoConfig::l1_l2(4096, 64 * 1024)),
-            ],
-        );
-        let digest = |outcomes: &[JobOutcome]| -> Vec<String> {
-            outcomes
-                .iter()
-                .map(|o| {
-                    format!(
-                        "{} {} {} {} {} {:?}",
-                        o.index,
-                        o.spec.benchmark,
-                        o.attempts,
-                        o.faults_cleared,
-                        o.sim_cycles,
-                        o.result
-                    )
-                })
-                .collect()
-        };
-        let run = |dispatch: DispatchTier, lanes: usize, jobs: usize| {
-            digest(
-                &Orchestrator::new(Scale::Tiny)
-                    .dispatch(dispatch)
-                    .batch_lanes(lanes)
-                    .jobs(jobs)
-                    .run(&m),
-            )
-        };
-        // Reference: the default threaded tier, serial.
-        let threaded = run(DispatchTier::Threaded, 1, 1);
-        // Single-lane batched (the degenerate escape hatch), multi-lane
-        // batched, and multi-lane batched across a worker pool must all
-        // reproduce it element-wise.
-        assert_eq!(run(DispatchTier::Batched, 1, 1), threaded);
-        assert_eq!(run(DispatchTier::Batched, 4, 1), threaded);
-        assert_eq!(run(DispatchTier::Batched, 4, 3), threaded);
     }
 
     #[test]

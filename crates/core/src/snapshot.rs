@@ -55,11 +55,11 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 use crate::adaptive::{AdaptiveConfig, AdaptiveState, AdaptiveTruncation};
-use crate::backend::MemoBackend;
 use crate::crc::{CrcAlgorithm, CrcWidth, TableCrc};
 use crate::ids::LutId;
 use crate::lut::{ExportedEntry, LutStats};
 use crate::quality::{DegradationStage, QualityMonitor, QualityState};
+use crate::two_level::TwoLevelLut;
 use axmemo_telemetry::{Telemetry, Value};
 
 /// Magic bytes opening every snapshot file.
@@ -144,6 +144,21 @@ pub struct SnapshotGeometry {
     pub data_width_bytes: u32,
     /// `(sets, ways)` of the L2, when one was configured.
     pub l2: Option<(u64, u64)>,
+}
+
+impl SnapshotGeometry {
+    /// The geometry of `lut`'s levels.
+    pub(crate) fn of(lut: &TwoLevelLut) -> Self {
+        let l1 = lut.l1().geometry();
+        Self {
+            l1_sets: l1.sets as u64,
+            l1_ways: l1.ways as u64,
+            data_width_bytes: l1.data_width.bytes() as u32,
+            l2: lut
+                .l2()
+                .map(|l2| (l2.geometry().sets as u64, l2.geometry().ways as u64)),
+        }
+    }
 }
 
 /// Why a run cold-started instead of restoring.
@@ -298,6 +313,55 @@ impl RecoveryReport {
     }
 }
 
+/// Order in which previously-exported entries are re-installed by a
+/// warm restore (see `EXPERIMENTS.md`, "Warm start").
+///
+/// Entries are exported in LRU order, oldest first. Restoring them in
+/// that same order reproduces the donor's relative recency exactly —
+/// the right default, and byte-identical to the pre-policy behaviour.
+/// But for scan-dominated workloads whose working set exceeds the LUT
+/// (sobel, jmeint), a full restore is pollution: the image holds the
+/// donor's tail-end entries, the run probes from the start of the
+/// stream, and every restored way must be evicted one miss at a time.
+/// [`RestorePolicy::MruFirst`] bounds that pollution: entries are
+/// admitted newest-first (the donor's hottest state wins) and each set
+/// accepts restored entries into at most half its ways, leaving the
+/// other half invalid for the live run's working set. Entries past the
+/// cap are counted as dropped.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub enum RestorePolicy {
+    /// Replay the export stream oldest-first, displacing the least
+    /// recently restored entry when a set overflows. The default;
+    /// reproduces pre-policy restores byte-for-byte.
+    #[default]
+    OldestFirst,
+    /// Fresh-biased warm start: admit entries newest-first, never
+    /// displace, cap restored occupancy at half of each set's ways,
+    /// and start the quality ladder fresh instead of resuming the
+    /// donor's rung (the warm run re-earns any degradation from its
+    /// own sampled comparisons).
+    MruFirst,
+}
+
+impl RestorePolicy {
+    /// Parse a command-line spelling (`oldest` / `mru`).
+    pub fn parse(s: &str) -> Option<Self> {
+        match s {
+            "oldest" | "oldest-first" => Some(Self::OldestFirst),
+            "mru" | "mru-first" => Some(Self::MruFirst),
+            _ => None,
+        }
+    }
+
+    /// The command-line spelling.
+    pub fn label(self) -> &'static str {
+        match self {
+            Self::OldestFirst => "oldest",
+            Self::MruFirst => "mru",
+        }
+    }
+}
+
 /// Captured warm state: everything needed to resume a memoization unit
 /// where a previous run left off.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -322,8 +386,8 @@ pub struct MemoSnapshot {
 impl MemoSnapshot {
     /// Capture the warm state of a LUT hierarchy plus the optional
     /// controllers that steer it.
-    pub fn capture<B: MemoBackend + ?Sized>(
-        lut: &B,
+    pub fn capture(
+        lut: &TwoLevelLut,
         adaptive: Option<&AdaptiveTruncation>,
         quality: Option<&QualityMonitor>,
     ) -> Self {
@@ -334,19 +398,19 @@ impl MemoSnapshot {
     /// their state was corrupt (an out-of-range stored `lut_id` — a
     /// fault the export path degrades through rather than panics on)
     /// are counted into `snapshot.capture.bad_records`.
-    pub fn capture_tel<B: MemoBackend + ?Sized>(
-        lut: &B,
+    pub fn capture_tel(
+        lut: &TwoLevelLut,
         adaptive: Option<&AdaptiveTruncation>,
         quality: Option<&QualityMonitor>,
         tel: &mut Telemetry,
     ) -> Self {
-        let (l1_entries, l1_skipped) = lut.export_l1();
-        let (l2_entries, l2_skipped) = lut.export_l2();
+        let (l1_entries, l1_skipped) = lut.export_l1_counted();
+        let (l2_entries, l2_skipped) = lut.export_l2_counted();
         if l1_skipped + l2_skipped > 0 {
             tel.count("snapshot.capture.bad_records", l1_skipped + l2_skipped);
         }
         Self {
-            geometry: lut.snapshot_geometry(),
+            geometry: Some(SnapshotGeometry::of(lut)),
             l1_entries,
             l2_entries,
             l1_stats: Some(lut.l1_stats()),
@@ -1099,7 +1163,6 @@ impl CrashPoint {
 mod tests {
     use super::*;
     use crate::config::MemoConfig;
-    use crate::two_level::TwoLevelLut;
 
     fn warm_lut() -> TwoLevelLut {
         let mut lut = TwoLevelLut::new(&MemoConfig::l1_l2(1024, 8 * 1024));
@@ -1233,5 +1296,25 @@ mod tests {
         let c = CrashPoint::seeded(8, CrashMode::BitFlip, 1000);
         assert!(a.offset != c.offset || a.bit != c.bit);
         assert!(a.offset < 1000);
+    }
+
+    #[test]
+    fn snapshot_geometry_reports_both_levels() {
+        let lut = TwoLevelLut::new(&MemoConfig::l1_l2(1024, 8 * 1024));
+        let geo = SnapshotGeometry::of(&lut);
+        assert_eq!(geo.l1_sets, 16);
+        assert!(geo.l2.is_some());
+    }
+
+    #[test]
+    fn restore_policy_parses_cli_spellings() {
+        assert_eq!(
+            RestorePolicy::parse("oldest"),
+            Some(RestorePolicy::OldestFirst)
+        );
+        assert_eq!(RestorePolicy::parse("mru"), Some(RestorePolicy::MruFirst));
+        assert_eq!(RestorePolicy::parse("bogus"), None);
+        assert_eq!(RestorePolicy::default(), RestorePolicy::OldestFirst);
+        assert_eq!(RestorePolicy::MruFirst.label(), "mru");
     }
 }

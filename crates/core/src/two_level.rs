@@ -7,11 +7,11 @@
 //! there unless itself evicted). LUT entries are never written back to
 //! main memory: an entry evicted from L2 is simply invalidated.
 
-use crate::backend::RestorePolicy;
 use crate::config::MemoConfig;
 use crate::faults::{FaultInjector, FaultStats};
 use crate::ids::LutId;
 use crate::lut::{ExportedEntry, LookupOutcome, LutArray, LutStats};
+use crate::snapshot::RestorePolicy;
 use axmemo_telemetry::{PhaseId, Telemetry, Value};
 
 /// Which level served a hit — the levels have different access latencies

@@ -9,7 +9,7 @@
 //! §3.3 describes).
 
 use crate::cache::{CacheConfig, CacheHierarchy, CacheStats, ServedBy};
-use crate::decoded::{DecodedInst, DecodedProgram};
+use crate::decoded::DecodedProgram;
 use crate::ir::{Cond, FBinOp, FUnOp, IAluOp, Inst, MemWidth, Operand, Program, NUM_REGS};
 use crate::pipeline::{FuClass, LatencyModel, Pipeline};
 use crate::predictor::{BranchPredictor, PredictorConfig, PredictorStats};
@@ -197,22 +197,18 @@ pub trait TraceSink {
     fn record(&mut self, pc: usize, inst: &Inst, wrote: Option<(u8, u64)>, addr: Option<u64>);
 }
 
-/// Which interpreter executes a program. All three tiers are
-/// observably identical — `RunStats`, machine state, error values,
-/// fault-injector draws, and telemetry event streams match bit for bit
-/// (pinned by `tests/decode_equivalence.rs`); they differ only in host
-/// speed and profiler attribution granularity.
+/// Which interpreter executes a program. Both tiers are observably
+/// identical — `RunStats`, machine state, error values, fault-injector
+/// draws, and telemetry event streams match bit for bit (pinned by
+/// `tests/decode_equivalence.rs` and `tests/differential.rs`); they
+/// differ only in host speed and profiler attribution granularity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub enum DispatchTier {
     /// Instruction-at-a-time reference loop: re-derives operands and
     /// latencies per dynamic instruction. The only tier supporting a
-    /// [`TraceSink`], and the semantic baseline every fast path is
-    /// checked against.
+    /// [`TraceSink`], and the executable spec the fast path is checked
+    /// against.
     Legacy,
-    /// Embra-style predecoded loop over [`DecodedProgram`]: operands,
-    /// latencies, and FU classes resolved once; per-basic-block batched
-    /// counters.
-    Predecode,
     /// Threaded-code dispatch over fused superblocks (the default):
     /// straight-line chains of basic blocks — loop back-edges unrolled,
     /// biased conditional edges fused — executed as one flat run of
@@ -220,33 +216,17 @@ pub enum DispatchTier {
     /// branch disagrees with its static prediction.
     #[default]
     Threaded,
-    /// Batched lockstep execution over the same fused superblocks
-    /// (`sim::batched`): many independent machines advance through one
-    /// [`ThreadedProgram`] together, paying one op decode per cohort
-    /// and replaying precomputed issue schedules per lane. A
-    /// single-lane batch degenerates to the threaded tier's exact
-    /// behaviour; every lane of a wider batch is still bit-identical
-    /// to its serial run.
-    Batched,
 }
 
 impl DispatchTier {
     /// All tiers, in escape-hatch order (reference first).
-    pub const ALL: [DispatchTier; 4] = [
-        DispatchTier::Legacy,
-        DispatchTier::Predecode,
-        DispatchTier::Threaded,
-        DispatchTier::Batched,
-    ];
+    pub const ALL: [DispatchTier; 2] = [DispatchTier::Legacy, DispatchTier::Threaded];
 
-    /// The flag-facing name (`legacy` | `predecode` | `threaded` |
-    /// `batched`).
+    /// The flag-facing name (`legacy` | `threaded`).
     pub fn name(self) -> &'static str {
         match self {
             DispatchTier::Legacy => "legacy",
-            DispatchTier::Predecode => "predecode",
             DispatchTier::Threaded => "threaded",
-            DispatchTier::Batched => "batched",
         }
     }
 
@@ -254,9 +234,7 @@ impl DispatchTier {
     pub fn parse(s: &str) -> Option<Self> {
         match s {
             "legacy" => Some(DispatchTier::Legacy),
-            "predecode" | "predecoded" => Some(DispatchTier::Predecode),
             "threaded" => Some(DispatchTier::Threaded),
-            "batched" => Some(DispatchTier::Batched),
             _ => None,
         }
     }
@@ -284,8 +262,8 @@ pub struct SimConfig {
     pub max_cycles: u64,
     /// Which interpreter runs the program (default
     /// [`DispatchTier::Threaded`]). Results are bit-identical across
-    /// tiers (pinned by tests), so the slower tiers exist only as
-    /// escape hatches and as references for equivalence checks.
+    /// tiers (pinned by tests), so the legacy tier exists only as an
+    /// escape hatch and as the reference for equivalence checks.
     pub dispatch: DispatchTier,
 }
 
@@ -427,10 +405,10 @@ impl Simulator {
     }
 
     /// Execute `program` to `Halt` on the configured
-    /// [`SimConfig::dispatch`] tier. The faster tiers lower the program
-    /// once per call ([`DecodedProgram::compile`], then
-    /// [`ThreadedProgram::compile`] for the threaded tier); results are
-    /// bit-identical across tiers.
+    /// [`SimConfig::dispatch`] tier. The threaded tier lowers the
+    /// program once per call ([`DecodedProgram::compile`], then
+    /// [`ThreadedProgram::compile`]); results are bit-identical across
+    /// tiers.
     ///
     /// # Errors
     ///
@@ -439,52 +417,18 @@ impl Simulator {
     pub fn run(&mut self, program: &Program, machine: &mut Machine) -> Result<RunStats, SimError> {
         match self.config.dispatch {
             DispatchTier::Legacy => self.run_legacy(program, machine, None),
-            DispatchTier::Predecode => {
-                let decoded = DecodedProgram::compile(program, &self.config.latency);
-                self.run_decoded(&decoded, machine)
-            }
             DispatchTier::Threaded => {
                 let decoded = DecodedProgram::compile(program, &self.config.latency);
                 let threaded = ThreadedProgram::compile(&decoded);
                 self.run_threaded(&threaded, machine)
             }
-            DispatchTier::Batched => {
-                let decoded = DecodedProgram::compile(program, &self.config.latency);
-                let threaded = ThreadedProgram::compile(&decoded);
-                crate::batched::run_single(self, &threaded, machine)
-            }
         }
-    }
-
-    /// Execute an already-decoded program (see [`DecodedProgram`]),
-    /// skipping the per-run decode step. This is how the sweep
-    /// orchestrator amortises decoding across a whole matrix of cells.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `decoded` was compiled against a different
-    /// [`LatencyModel`] than this simulator's configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError`] on the first fault, exactly as [`Self::run`].
-    pub fn run_prepared(
-        &mut self,
-        decoded: &DecodedProgram,
-        machine: &mut Machine,
-    ) -> Result<RunStats, SimError> {
-        assert_eq!(
-            *decoded.latency(),
-            self.config.latency,
-            "DecodedProgram latency model does not match the simulator config"
-        );
-        self.run_decoded(decoded, machine)
     }
 
     /// Execute an already-lowered threaded program (see
     /// [`ThreadedProgram`]), skipping both the decode and the
     /// superblock-lowering steps. Sweep cells share one
-    /// `Arc<ThreadedProgram>` the same way they share decoded programs.
+    /// `Arc<ThreadedProgram>` across simulators and threads.
     ///
     /// # Panics
     ///
@@ -505,32 +449,6 @@ impl Simulator {
             "ThreadedProgram latency model does not match the simulator config"
         );
         self.run_threaded(threaded, machine)
-    }
-
-    /// Execute an already-lowered threaded program on the batched tier
-    /// as a single-lane batch (see [`crate::batched`]). Multi-lane
-    /// batches go through [`crate::batched::run_batch`], which takes a
-    /// simulator/machine pair per lane.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threaded` was lowered against a different
-    /// [`LatencyModel`] than this simulator's configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError`] on the first fault, exactly as [`Self::run`].
-    pub fn run_prepared_batched(
-        &mut self,
-        threaded: &ThreadedProgram,
-        machine: &mut Machine,
-    ) -> Result<RunStats, SimError> {
-        assert_eq!(
-            *threaded.latency(),
-            self.config.latency,
-            "ThreadedProgram latency model does not match the simulator config"
-        );
-        crate::batched::run_single(self, threaded, machine)
     }
 
     /// Like [`Self::run`] with an optional trace sink receiving every
@@ -901,398 +819,6 @@ impl Simulator {
             pc = next_pc;
         }
 
-        stats.cycles = pipe.drain();
-        self.telemetry.profiler_mut().exit_cycles(stats.cycles);
-        if let Some(unit) = self.memo.as_ref() {
-            stats.energy.quality_compares = unit.stats().sampled_misses;
-        }
-        let predictor_stats = predictor.as_ref().map(|bp| bp.stats());
-        self.flush_run_telemetry(&stats, &classes, predictor_stats, l1d_before, l2_before);
-        Ok(stats)
-    }
-
-    /// The predecoded fast-path interpreter. Dispatches over
-    /// [`DecodedInst`] (operands, latencies, and FU classes resolved at
-    /// compile time) and batches input-independent counters per basic
-    /// block via [`BlockCounts`]. Every observable — `RunStats`, error
-    /// values, telemetry event streams, fault-injector draws — matches
-    /// [`Self::run_legacy`] exactly; equivalence tests pin this.
-    fn run_decoded(
-        &mut self,
-        dp: &DecodedProgram,
-        machine: &mut Machine,
-    ) -> Result<RunStats, SimError> {
-        let lat = self.config.latency;
-        let mut pipe = Pipeline::new();
-        let mut predictor = self.config.predictor.map(BranchPredictor::new);
-        let mut stats = RunStats::default();
-        let mut classes = InstClassCounts::default();
-        // Cache statistics accumulate across runs; snapshot for deltas.
-        let l1d_before = self.cache.l1d_stats();
-        let l2_before = self.cache.l2_stats();
-        let tid = ThreadId(0);
-        // Per-LUT cycle when the CRC unit finishes the queued beats.
-        let mut crc_ready = [0u64; MAX_LUTS];
-        // Queue capacity in cycles of backlog (1 byte ≈ 1 cycle).
-        let queue_capacity: u64 = self
-            .config
-            .memo
-            .as_ref()
-            .map(|m| m.input_queue_depth as u64 * 8)
-            .unwrap_or(0);
-        // Config-dependent LUT charging, hoisted out of the loop (the
-        // unit config is immutable during a run).
-        let has_l2_lut = self
-            .memo
-            .as_ref()
-            .is_some_and(|u| u.config().l2_bytes.is_some());
-        let ecc = self
-            .memo
-            .as_ref()
-            .is_some_and(|u| u.config().faults.protection == Protection::EccProtected);
-        let max_insts = self.config.max_insts;
-        let max_cycles = self.config.max_cycles;
-        let taken_bubble = lat.taken_branch_bubble;
-        let mut dyn_insts = 0u64;
-        let mut pc = 0usize;
-        // Profiler plumbing, hoisted so the profiling-off hot path pays
-        // a single never-taken branch per block. With profiling on we
-        // attribute cycles/instructions to basic blocks by deltas of the
-        // pipeline clock and the dynamic-instruction counter around each
-        // block body.
-        let prof_on = self.telemetry.profiler().is_enabled();
-        if prof_on {
-            let ranges: Vec<(u32, u32)> = dp.blocks.iter().map(|b| (b.start, b.end)).collect();
-            self.telemetry.profiler_mut().begin_blocks(&ranges);
-        }
-        self.telemetry.profiler_mut().enter(PhaseId::Dispatch);
-
-        'run: loop {
-            let Some(&block_idx) = dp.block_of.get(pc) else {
-                return Err(SimError::PcOutOfRange { pc });
-            };
-            let block = &dp.blocks[block_idx as usize];
-            debug_assert_eq!(
-                block.start as usize, pc,
-                "control transfer into the middle of a basic block"
-            );
-            let end = block.end as usize;
-            let mut next_pc = end;
-            let (blk_cycle0, blk_inst0) = if prof_on {
-                (pipe.now(), dyn_insts)
-            } else {
-                (0, 0)
-            };
-            // Iterating the block as a slice gives the compiler the trip
-            // count: no per-instruction bounds check on the fetch.
-            for (k, inst) in dp.insts[pc..end].iter().enumerate() {
-                let i = pc + k;
-                // Same per-instruction guard order as the legacy loop
-                // (markers included), so watchdog trip points match. The
-                // non-short-circuiting `|` folds both comparisons into a
-                // single never-taken branch on the hot path.
-                if (dyn_insts >= max_insts) | (pipe.now() > max_cycles) {
-                    if dyn_insts >= max_insts {
-                        return Err(SimError::InstLimit { limit: max_insts });
-                    }
-                    return Err(SimError::CycleLimit { limit: max_cycles });
-                }
-                match *inst {
-                    DecodedInst::Region => {
-                        continue; // zero-cost marker, not a dynamic inst
-                    }
-                    DecodedInst::Halt => {
-                        dyn_insts += 1;
-                        stats.apply_block(&mut classes, &block.counts);
-                        if prof_on {
-                            self.telemetry.profiler_mut().block_retire(
-                                block_idx as usize,
-                                pipe.now().saturating_sub(blk_cycle0),
-                                dyn_insts - blk_inst0,
-                            );
-                        }
-                        break 'run;
-                    }
-                    DecodedInst::IAluRR {
-                        op,
-                        rd,
-                        ra,
-                        rb,
-                        lat,
-                        fu,
-                    } => {
-                        let a = machine.reg(ra);
-                        let b = machine.reg(rb);
-                        let v = ialu(op, a, b).ok_or(SimError::DivByZero { pc: i })?;
-                        machine.set_reg(rd, v);
-                        pipe.issue(&[ra, rb], Some(rd), fu, lat, 0);
-                    }
-                    DecodedInst::IAluRI {
-                        op,
-                        rd,
-                        ra,
-                        imm,
-                        lat,
-                        fu,
-                    } => {
-                        let a = machine.reg(ra);
-                        let v = ialu(op, a, imm).ok_or(SimError::DivByZero { pc: i })?;
-                        machine.set_reg(rd, v);
-                        pipe.issue(&[ra, ra], Some(rd), fu, lat, 0);
-                    }
-                    DecodedInst::FBin {
-                        op,
-                        rd,
-                        ra,
-                        rb,
-                        lat,
-                        fu,
-                    } => {
-                        let v = fbin(op, machine.reg_f32(ra), machine.reg_f32(rb));
-                        machine.set_reg_f32(rd, v);
-                        pipe.issue(&[ra, rb], Some(rd), fu, lat, 0);
-                    }
-                    DecodedInst::FUn {
-                        op,
-                        rd,
-                        ra,
-                        lat,
-                        fu,
-                    } => {
-                        let v = funop(op, machine.reg(ra));
-                        machine.set_reg(rd, v);
-                        pipe.issue(&[ra], Some(rd), fu, lat, 0);
-                    }
-                    DecodedInst::Ld {
-                        width,
-                        rd,
-                        base,
-                        offset,
-                    } => {
-                        let addr = machine.reg(base).wrapping_add_signed(offset.into());
-                        let v = machine.load(addr, width)?;
-                        machine.set_reg(rd, v);
-                        let (mut latency, served) = self.cache.access_served(addr);
-                        latency += spike_cycles(&mut self.mem_faults);
-                        charge_mem_levels(&mut stats, served);
-                        pipe.issue(&[base], Some(rd), FuClass::LdSt, latency, 0);
-                    }
-                    DecodedInst::St {
-                        width,
-                        rs,
-                        base,
-                        offset,
-                        lat,
-                    } => {
-                        let addr = machine.reg(base).wrapping_add_signed(offset.into());
-                        machine.store(addr, width, machine.reg(rs))?;
-                        let (_, served) = self.cache.access_served(addr);
-                        charge_mem_levels(&mut stats, served);
-                        let st_latency = lat + spike_cycles(&mut self.mem_faults);
-                        pipe.issue(&[rs, base], None, FuClass::LdSt, st_latency, 0);
-                    }
-                    DecodedInst::MovImm { rd, imm } => {
-                        machine.set_reg(rd, imm);
-                        pipe.issue(&[], Some(rd), FuClass::IntAlu, 1, 0);
-                    }
-                    DecodedInst::Mov { rd, ra } => {
-                        machine.set_reg(rd, machine.reg(ra));
-                        pipe.issue(&[ra], Some(rd), FuClass::IntAlu, 1, 0);
-                    }
-                    DecodedInst::BranchRR {
-                        cond,
-                        ra,
-                        rb,
-                        target,
-                    } => {
-                        let taken = cond_taken(cond, machine.reg(ra), machine.reg(rb));
-                        pipe.issue(&[ra, rb], None, FuClass::Branch, 1, 0);
-                        if taken {
-                            next_pc = target;
-                        }
-                        match predictor.as_mut() {
-                            Some(bp) => {
-                                let stall = bp.resolve(i, taken);
-                                if stall > 0 {
-                                    pipe.branch_bubble(stall);
-                                    stats.branch_bubbles += 1;
-                                }
-                            }
-                            None if taken => {
-                                pipe.branch_bubble(taken_bubble);
-                                stats.branch_bubbles += 1;
-                            }
-                            None => {}
-                        }
-                    }
-                    DecodedInst::BranchRI {
-                        cond,
-                        ra,
-                        imm,
-                        target,
-                    } => {
-                        let taken = cond_taken(cond, machine.reg(ra), imm);
-                        pipe.issue(&[ra, ra], None, FuClass::Branch, 1, 0);
-                        if taken {
-                            next_pc = target;
-                        }
-                        match predictor.as_mut() {
-                            Some(bp) => {
-                                let stall = bp.resolve(i, taken);
-                                if stall > 0 {
-                                    pipe.branch_bubble(stall);
-                                    stats.branch_bubbles += 1;
-                                }
-                            }
-                            None if taken => {
-                                pipe.branch_bubble(taken_bubble);
-                                stats.branch_bubbles += 1;
-                            }
-                            None => {}
-                        }
-                    }
-                    DecodedInst::Jump { target } => {
-                        next_pc = target;
-                        pipe.issue(&[], None, FuClass::Branch, 1, 0);
-                        pipe.branch_bubble(taken_bubble);
-                        stats.branch_bubbles += 1;
-                    }
-                    DecodedInst::BranchMemoHit { target } => {
-                        pipe.issue(&[], None, FuClass::Branch, 1, 0);
-                        if machine.memo_hit {
-                            next_pc = target;
-                            pipe.branch_bubble(taken_bubble);
-                            stats.branch_bubbles += 1;
-                        }
-                    }
-                    DecodedInst::MemoLdCrc {
-                        width,
-                        rd,
-                        base,
-                        offset,
-                        lut,
-                        trunc,
-                        beat,
-                    } => {
-                        let unit = self.memo.as_mut().ok_or(SimError::NoMemoUnit { pc: i })?;
-                        let addr = machine.reg(base).wrapping_add_signed(offset.into());
-                        let raw = machine.load(addr, width)?;
-                        machine.set_reg(rd, raw);
-                        let (mut latency, served) = self.cache.access_served(addr);
-                        latency += spike_cycles(&mut self.mem_faults);
-                        charge_mem_levels(&mut stats, served);
-                        let backlog = crc_ready[lut.index()];
-                        let not_before = backlog.saturating_sub(queue_capacity);
-                        let at = pipe.issue(&[base], Some(rd), FuClass::LdSt, latency, not_before);
-                        self.telemetry.set_cycle(at);
-                        unit.feed_tel(
-                            lut,
-                            tid,
-                            input_value(width, raw),
-                            trunc,
-                            &mut self.telemetry,
-                        );
-                        crc_ready[lut.index()] = crc_ready[lut.index()].max(at + latency) + beat;
-                        if not_before > at {
-                            stats.memo_stall_cycles += not_before - at;
-                        }
-                    }
-                    DecodedInst::MemoRegCrc {
-                        width,
-                        src,
-                        mask,
-                        lut,
-                        trunc,
-                        beat,
-                    } => {
-                        let unit = self.memo.as_mut().ok_or(SimError::NoMemoUnit { pc: i })?;
-                        let raw = machine.reg(src) & mask;
-                        let backlog = crc_ready[lut.index()];
-                        let not_before = backlog.saturating_sub(queue_capacity);
-                        let at = pipe.issue(&[src], None, FuClass::Memo, 1, not_before);
-                        self.telemetry.set_cycle(at);
-                        unit.feed_tel(
-                            lut,
-                            tid,
-                            input_value(width, raw),
-                            trunc,
-                            &mut self.telemetry,
-                        );
-                        crc_ready[lut.index()] = crc_ready[lut.index()].max(at + 1) + beat;
-                    }
-                    DecodedInst::MemoLookup { rd, lut } => {
-                        let unit = self.memo.as_mut().ok_or(SimError::NoMemoUnit { pc: i })?;
-                        // lookup waits for the CRC pipeline to drain (§3.4).
-                        let not_before = crc_ready[lut.index()];
-                        self.telemetry.set_cycle(pipe.now().max(not_before));
-                        let result = unit.lookup_tel(lut, tid, &mut self.telemetry);
-                        let latency = unit.lookup_cycles(&result);
-                        let before = pipe.now();
-                        pipe.issue(&[], Some(rd), FuClass::Memo, latency, not_before);
-                        stats.memo_stall_cycles += not_before.saturating_sub(before.max(1)) / 2;
-                        let mut lut_accesses = 1;
-                        if has_l2_lut
-                            && !matches!(
-                                result,
-                                LookupResult::Hit {
-                                    level: axmemo_core::two_level::HitLevel::L1,
-                                    ..
-                                }
-                            )
-                        {
-                            stats.energy.l2_lut_accesses += 1;
-                            lut_accesses += 1;
-                        }
-                        if ecc {
-                            stats.energy.ecc_checks += lut_accesses;
-                        }
-                        match result {
-                            LookupResult::Hit { data, .. } => {
-                                machine.set_reg(rd, data);
-                                machine.memo_hit = true;
-                            }
-                            _ => {
-                                machine.memo_hit = false;
-                            }
-                        }
-                    }
-                    DecodedInst::MemoUpdate { src, lut } => {
-                        let unit = self.memo.as_mut().ok_or(SimError::NoMemoUnit { pc: i })?;
-                        let data = machine.reg(src);
-                        self.telemetry.set_cycle(pipe.now());
-                        let cycles = unit.update_tel(lut, tid, data, &mut self.telemetry);
-                        pipe.issue(&[src], None, FuClass::Memo, cycles, 0);
-                        let mut lut_accesses = 1;
-                        if has_l2_lut {
-                            stats.energy.l2_lut_accesses += 1;
-                            lut_accesses += 1;
-                        }
-                        if ecc {
-                            stats.energy.ecc_checks += lut_accesses;
-                        }
-                    }
-                    DecodedInst::MemoInvalidate { lut } => {
-                        let unit = self.memo.as_mut().ok_or(SimError::NoMemoUnit { pc: i })?;
-                        self.telemetry.set_cycle(pipe.now());
-                        let cycles = unit.invalidate_tel(lut, &mut self.telemetry);
-                        pipe.issue(&[], None, FuClass::Memo, cycles, 0);
-                    }
-                }
-                dyn_insts += 1;
-            }
-            stats.apply_block(&mut classes, &block.counts);
-            if prof_on {
-                self.telemetry.profiler_mut().block_retire(
-                    block_idx as usize,
-                    pipe.now().saturating_sub(blk_cycle0),
-                    dyn_insts - blk_inst0,
-                );
-            }
-            pc = next_pc;
-        }
-
-        stats.dynamic_insts = dyn_insts;
-        stats.energy.instructions = dyn_insts;
         stats.cycles = pipe.drain();
         self.telemetry.profiler_mut().exit_cycles(stats.cycles);
         if let Some(unit) = self.memo.as_ref() {
@@ -1765,51 +1291,7 @@ mod tests {
             (stats, m.regs, m.mem)
         };
         let reference = run(DispatchTier::Legacy);
-        assert_eq!(run(DispatchTier::Predecode), reference);
         assert_eq!(run(DispatchTier::Threaded), reference);
-        assert_eq!(run(DispatchTier::Batched), reference);
-    }
-
-    #[test]
-    fn run_prepared_batched_matches_run() {
-        use crate::decoded::DecodedProgram;
-        let p = memo_square_program();
-        let cfg = SimConfig::with_memo(MemoConfig::l1_only(4096));
-        let decoded = DecodedProgram::compile(&p, &cfg.latency);
-        let threaded = ThreadedProgram::compile(&decoded);
-        let setup = || {
-            let mut m = Machine::new(64 * 1024);
-            for i in 0..256 {
-                m.store_f32(0x1000 + 4 * i, (i % 8) as f32 + 1.0);
-            }
-            m
-        };
-        let mut sim = Simulator::new(cfg.clone()).unwrap();
-        let mut m1 = setup();
-        let direct = sim.run(&p, &mut m1).unwrap();
-        let mut sim = Simulator::new(cfg).unwrap();
-        let mut m2 = setup();
-        let prepared = sim.run_prepared_batched(&threaded, &mut m2).unwrap();
-        assert_eq!(direct, prepared);
-        assert_eq!(m1.mem, m2.mem);
-    }
-
-    #[test]
-    #[should_panic(expected = "latency model")]
-    fn run_prepared_batched_rejects_mismatched_latency_model() {
-        use crate::decoded::DecodedProgram;
-        use crate::pipeline::LatencyModel;
-        let mut b = ProgramBuilder::new();
-        b.halt();
-        let p = b.build().unwrap();
-        let other = LatencyModel {
-            int_div: 99,
-            ..LatencyModel::default()
-        };
-        let threaded = ThreadedProgram::compile(&DecodedProgram::compile(&p, &other));
-        let mut sim = Simulator::new(SimConfig::baseline()).unwrap();
-        let mut m = Machine::new(64);
-        let _ = sim.run_prepared_batched(&threaded, &mut m);
     }
 
     #[test]
@@ -1877,17 +1359,7 @@ mod tests {
         for max_insts in [1, 7, 50, 333, 1000, 2500] {
             let reference = run(DispatchTier::Legacy, max_insts, u64::MAX);
             assert_eq!(
-                run(DispatchTier::Predecode, max_insts, u64::MAX),
-                reference,
-                "max_insts {max_insts}"
-            );
-            assert_eq!(
                 run(DispatchTier::Threaded, max_insts, u64::MAX),
-                reference,
-                "max_insts {max_insts}"
-            );
-            assert_eq!(
-                run(DispatchTier::Batched, max_insts, u64::MAX),
                 reference,
                 "max_insts {max_insts}"
             );
@@ -1895,62 +1367,11 @@ mod tests {
         for max_cycles in [0, 13, 97, 800, 4000] {
             let reference = run(DispatchTier::Legacy, u64::MAX, max_cycles);
             assert_eq!(
-                run(DispatchTier::Predecode, u64::MAX, max_cycles),
-                reference,
-                "max_cycles {max_cycles}"
-            );
-            assert_eq!(
                 run(DispatchTier::Threaded, u64::MAX, max_cycles),
                 reference,
                 "max_cycles {max_cycles}"
             );
-            assert_eq!(
-                run(DispatchTier::Batched, u64::MAX, max_cycles),
-                reference,
-                "max_cycles {max_cycles}"
-            );
         }
-    }
-
-    #[test]
-    fn run_prepared_matches_run() {
-        use crate::decoded::DecodedProgram;
-        let p = memo_square_program();
-        let cfg = SimConfig::with_memo(MemoConfig::l1_only(4096));
-        let decoded = DecodedProgram::compile(&p, &cfg.latency);
-        let setup = || {
-            let mut m = Machine::new(64 * 1024);
-            for i in 0..256 {
-                m.store_f32(0x1000 + 4 * i, (i % 8) as f32 + 1.0);
-            }
-            m
-        };
-        let mut sim = Simulator::new(cfg.clone()).unwrap();
-        let mut m1 = setup();
-        let direct = sim.run(&p, &mut m1).unwrap();
-        let mut sim = Simulator::new(cfg).unwrap();
-        let mut m2 = setup();
-        let prepared = sim.run_prepared(&decoded, &mut m2).unwrap();
-        assert_eq!(direct, prepared);
-        assert_eq!(m1.mem, m2.mem);
-    }
-
-    #[test]
-    #[should_panic(expected = "latency model")]
-    fn run_prepared_rejects_mismatched_latency_model() {
-        use crate::decoded::DecodedProgram;
-        use crate::pipeline::LatencyModel;
-        let mut b = ProgramBuilder::new();
-        b.halt();
-        let p = b.build().unwrap();
-        let other = LatencyModel {
-            int_div: 99,
-            ..LatencyModel::default()
-        };
-        let decoded = DecodedProgram::compile(&p, &other);
-        let mut sim = Simulator::new(SimConfig::baseline()).unwrap();
-        let mut m = Machine::new(64);
-        let _ = sim.run_prepared(&decoded, &mut m);
     }
 
     #[test]

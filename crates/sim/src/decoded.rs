@@ -1,12 +1,13 @@
-//! Predecoded program form: the interpreter fast path.
+//! Predecoded program form: the lowering IR of the threaded tier.
 //!
 //! [`DecodedProgram::compile`] lowers a [`Program`] once into a flat
 //! array of decoded instructions — operands resolved to direct register
 //! indices or immediates, per-instruction latency and functional-unit
 //! class precomputed from the [`LatencyModel`], CRC beat counts and
-//! width masks folded in — so the hot loop in `cpu.rs` dispatches with
-//! no per-dynamic-instruction enum re-derivation (Embra-style shadow
-//! decode).
+//! width masks folded in (Embra-style shadow decode). The threaded tier
+//! ([`crate::threaded::ThreadedProgram::compile`]) fuses these decoded
+//! instructions into superblocks; nothing executes the decoded form
+//! directly.
 //!
 //! The program is additionally partitioned into **basic blocks**
 //! (leaders: entry, every branch target, every instruction after a
@@ -14,7 +15,7 @@
 //! zero-cost `Region` entries). Each block carries a precomputed batch
 //! of its *input-independent* statistics — instruction
 //! classes, static energy events, CRC beats — which the interpreter
-//! adds in one shot when the block retires instead of incrementing a
+//! adds in one shot when a chain exits instead of incrementing a
 //! dozen counters per instruction. Counts that depend on runtime state
 //! (cache level served, queue stalls, branch bubbles, config-gated LUT
 //! probes) stay per-instruction, which is why the resulting
@@ -22,9 +23,7 @@
 //! instruction-at-a-time interpreter.
 //!
 //! A decoded program depends only on the instructions and the latency
-//! model — not on the memoization config, cache sizes, or inputs — so
-//! one `Arc<DecodedProgram>` can be shared across every cell of a
-//! sweep matrix.
+//! model — not on the memoization config, cache sizes, or inputs.
 
 use crate::ir::{Cond, FBinOp, FUnOp, IAluOp, Inst, MemWidth, Program};
 use crate::pipeline::{FuClass, LatencyModel};
@@ -306,13 +305,13 @@ pub(crate) struct Block {
     pub counts: BlockCounts,
 }
 
-/// A program lowered to the predecoded fast-path form.
+/// A program lowered to the predecoded form.
 ///
-/// Compile once with [`DecodedProgram::compile`], then run any number
-/// of times via `Simulator::run_prepared` — the decoded form depends
-/// only on the instruction sequence and the [`LatencyModel`], so it can
-/// be shared (e.g. behind an `Arc`) across simulators, sweep cells, and
-/// threads.
+/// Compile once with [`DecodedProgram::compile`], then lower to the
+/// executable threaded form with
+/// [`ThreadedProgram::compile`](crate::threaded::ThreadedProgram::compile).
+/// The decoded form depends only on the instruction sequence and the
+/// [`LatencyModel`].
 #[derive(Debug, Clone)]
 pub struct DecodedProgram {
     /// Decoded instructions, index-for-index with the source program

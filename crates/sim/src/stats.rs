@@ -1,11 +1,10 @@
 //! Run statistics: dynamic instruction counts, cycles, and the energy
 //! event breakdown consumed by [`crate::energy::EnergyModel`].
 //!
-//! The batched-counter machinery lives here too: the block-structured
-//! interpreters (predecoded and threaded) accumulate each basic block's
-//! input-independent counts once at decode time
-//! (`crate::decoded::BlockCounts`) and fold them into a run's
-//! statistics in one shot at block/superblock retire via
+//! The batched-counter machinery lives here too: the threaded
+//! interpreter accumulates each basic block's input-independent counts
+//! once at decode time (`crate::decoded::BlockCounts`) and folds them
+//! into a run's statistics in one shot at superblock exit via
 //! `RunStats::apply_block`.
 
 use crate::decoded::BlockCounts;

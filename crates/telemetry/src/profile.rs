@@ -5,7 +5,7 @@
 //! *phases* (a fixed enum, so the hot path indexes an array instead of
 //! hashing strings) each accumulating entry counts, exclusive
 //! **simulated cycles**, and inclusive **host nanoseconds**, plus a
-//! per-basic-block attribution table for the decoded interpreter.
+//! per-superblock attribution table for the threaded interpreter.
 //!
 //! Three recording shapes:
 //!
@@ -44,7 +44,7 @@ pub enum PhaseId {
     /// One whole benchmark run (baseline excluded; the profiler rides
     /// the telemetry handle, which only the memoized leg carries).
     Run = 0,
-    /// The interpreter dispatch loop (decoded or legacy).
+    /// The interpreter dispatch loop (threaded or legacy).
     Dispatch,
     /// CRC beat loop: feeding truncated input bytes into the pipelined
     /// CRC unit (`memo_ld_crc`).
@@ -66,20 +66,14 @@ pub enum PhaseId {
     /// cycles of its own).
     Quality,
     /// Cycles retired inside fused superblocks by the threaded-code
-    /// tier, recorded as a leaf under [`PhaseId::Dispatch`]. What the
-    /// dispatch phase keeps as *exclusive* time is then exactly the
-    /// unfused residue: outer-loop transfers and side exits.
+    /// tier and not claimed by a LUT leaf, recorded once per run as a
+    /// leaf under [`PhaseId::Dispatch`]. What the dispatch phase keeps
+    /// as *exclusive* time is then exactly the final pipeline drain.
     DispatchThreaded,
-    /// Cycles retired inside fused superblocks by the batched lockstep
-    /// tier, recorded as a leaf under [`PhaseId::Dispatch`]. Per-lane
-    /// attribution rides the same per-block channel as the threaded
-    /// tier; this phase separates batched from single-stream retire so
-    /// before/after profiles show where amortized bookkeeping went.
-    DispatchBatched,
 }
 
 /// Number of distinct [`PhaseId`]s (size of per-node child arrays).
-pub const PHASE_COUNT: usize = 11;
+pub const PHASE_COUNT: usize = 10;
 
 impl PhaseId {
     /// Every phase, in enum (= report) order.
@@ -94,7 +88,6 @@ impl PhaseId {
         PhaseId::LutInvalidate,
         PhaseId::Quality,
         PhaseId::DispatchThreaded,
-        PhaseId::DispatchBatched,
     ];
 
     /// Wire name used in reports and folded-stack paths.
@@ -110,7 +103,6 @@ impl PhaseId {
             PhaseId::LutInvalidate => "lut.invalidate",
             PhaseId::Quality => "quality.monitor",
             PhaseId::DispatchThreaded => "dispatch.threaded",
-            PhaseId::DispatchBatched => "dispatch.batched",
         }
     }
 }
@@ -148,7 +140,7 @@ struct Frame {
     charged: u64,
 }
 
-/// Per-block attribution counters (decoded interpreter).
+/// Per-block attribution counters (threaded interpreter superblocks).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BlockStat {
     /// Times the block was entered.
@@ -337,10 +329,10 @@ impl Profiler {
     }
 
     /// Cycles the innermost open frame's children have charged so far.
-    /// The threaded interpreter reads this around each superblock so it
-    /// can attribute the superblock's cycle delta *minus* whatever its
-    /// LUT leaves already claimed — keeping every child's exclusive
-    /// share exact without any host-clock reads.
+    /// The threaded interpreter reads this at the end of a run so it
+    /// can attribute the fused chains' cycles *minus* whatever the LUT
+    /// leaves already claimed — keeping every child's exclusive share
+    /// exact without any host-clock reads.
     #[inline]
     pub fn open_charged(&self) -> u64 {
         self.stack.last().map_or(0, |f| f.charged)
@@ -362,9 +354,8 @@ impl Profiler {
     /// Register (or re-attach to) the block table for the current
     /// label. Stats accumulate across repeated runs of the same
     /// program; a label whose ranges changed gets a fresh table (the
-    /// full ranges are compared, not just the count, so the predecoded
-    /// tier's basic blocks and the threaded tier's superblocks never
-    /// alias even when their tables are the same size).
+    /// full ranges are compared, not just the count, so two programs
+    /// with equally sized tables never alias).
     pub fn begin_blocks(&mut self, ranges: &[(u32, u32)]) {
         if !self.on {
             return;

@@ -1,27 +1,22 @@
-//! The fast-path interpreters are an *optimisation*, never a semantic
-//! change: these tests pin byte-identical results across all four
+//! The threaded interpreter is an *optimisation*, never a semantic
+//! change: these tests pin byte-identical results across both
 //! execution tiers — the legacy instruction-at-a-time loop
-//! (`--dispatch legacy`), the predecoded loop (`--dispatch predecode`),
-//! the threaded superblock interpreter (`--dispatch threaded`, the
-//! default), and the batched lockstep executor (`--dispatch batched`)
-//! — at the benchmark and sweep level: metrics, raw run statistics,
+//! (`--dispatch legacy`, the executable spec) and the threaded
+//! superblock interpreter (`--dispatch threaded`, the default) — at
+//! the benchmark and sweep level: metrics, raw run statistics,
 //! telemetry event streams, and the whole aggregated fault-sweep
-//! report. For the batched tier the pin is element-wise: every lane of
-//! a multi-lane lockstep batch must match the same cell run alone,
-//! including lanes that diverge mid-batch or halt early.
+//! report. `tests/differential.rs` checks the same equivalence on
+//! generated programs.
 
 use axmemo_bench::orchestrator::Orchestrator;
 use axmemo_bench::{sweep, DispatchTier, ReportMode};
 use axmemo_core::config::MemoConfig;
-use axmemo_core::faults::{FaultConfig, FaultDomain, Protection};
 use axmemo_sim::cpu::{Machine, SimConfig, Simulator};
 use axmemo_sim::ir::{Cond, IAluOp, Operand};
 use axmemo_sim::ProgramBuilder;
 use axmemo_telemetry::{event_to_json, RingBufferSink, Telemetry};
-use axmemo_workloads::runner::{
-    run_batch_cached, run_benchmark_report, BaselineCache, BatchCell, RunOptions,
-};
-use axmemo_workloads::{all_benchmarks, benchmark_by_name, Dataset, Scale};
+use axmemo_workloads::runner::{run_benchmark_report, RunOptions};
+use axmemo_workloads::{all_benchmarks, Dataset, Scale};
 
 fn options(dispatch: DispatchTier) -> RunOptions {
     RunOptions {
@@ -33,7 +28,7 @@ fn options(dispatch: DispatchTier) -> RunOptions {
 /// Every registered benchmark at tiny scale: identical baseline and
 /// memoized [`axmemo_sim::stats::RunStats`], identical paper metrics,
 /// and an identical telemetry event stream (every LUT probe, quality
-/// decision and span edge at the same simulated cycle) on all three
+/// decision and span edge at the same simulated cycle) on both
 /// interpreters.
 #[test]
 fn every_benchmark_is_bit_identical_across_interpreters() {
@@ -130,9 +125,7 @@ fn biased_branch_flip_mid_run_side_exits_exactly() {
         (stats, machine.regs, machine.mem)
     };
     let reference = run(DispatchTier::Legacy);
-    assert_eq!(run(DispatchTier::Predecode), reference);
     assert_eq!(run(DispatchTier::Threaded), reference);
-    assert_eq!(run(DispatchTier::Batched), reference);
     // Sanity: both phases actually executed.
     assert_eq!(reference.1[1], 1200);
     assert_ne!(reference.1[3], 0);
@@ -146,201 +139,16 @@ fn biased_branch_flip_mid_run_side_exits_exactly() {
 fn reduced_fault_sweep_golden_diff_across_interpreters() {
     let benches = vec!["blackscholes".to_string(), "fft".to_string()];
     let (matrix, metas) = sweep::matrix(7, &benches);
-    let render = |tier: DispatchTier, lanes: usize| -> String {
+    let render = |tier: DispatchTier| -> String {
         let outcomes = Orchestrator::new(Scale::Tiny)
             .jobs(1)
             .dispatch(tier)
-            .batch_lanes(lanes)
             .run(&matrix);
         sweep::table(Scale::Tiny, 7, &metas, &outcomes).render(ReportMode::Json)
     };
-    let reference = render(DispatchTier::Threaded, 1);
     assert_eq!(
-        reference,
-        render(DispatchTier::Predecode, 1),
-        "fault-sweep report must not depend on the interpreter (predecode)"
-    );
-    assert_eq!(
-        reference,
-        render(DispatchTier::Legacy, 1),
-        "fault-sweep report must not depend on the interpreter (legacy)"
-    );
-    // The batched tier at 1 lane takes the scalar per-job path; at 8
-    // lanes the orchestrator groups same-benchmark cells into lockstep
-    // chunks. Both must render the identical report.
-    assert_eq!(
-        reference,
-        render(DispatchTier::Batched, 1),
-        "fault-sweep report must not depend on the interpreter (batched, scalar)"
-    );
-    assert_eq!(
-        reference,
-        render(DispatchTier::Batched, 8),
-        "fault-sweep report must not depend on the interpreter (batched, 8 lanes)"
-    );
-}
-
-/// Element-wise bit-identity of the lockstep batch against serial runs
-/// of the same cells, under forced mid-batch divergence and an early
-/// halt: five lanes of the same benchmark with *different* memoization
-/// configurations — fault-free, two distinct fault-injection cells
-/// (different domains, rates, and protection, so their LUT invalidation
-/// patterns diverge almost immediately), a different LUT geometry, and
-/// one lane with a watchdog so tight its memoized leg trips
-/// `CycleLimit` long before its siblings finish. Every lane's report
-/// JSON, raw stats, and telemetry event stream must match the same
-/// cell run through a single-lane batch, and the dead lane must not
-/// perturb any survivor.
-#[test]
-fn batched_lanes_match_serial_cells_under_divergence_and_early_halt() {
-    let bench = benchmark_by_name("blackscholes").expect("blackscholes registered");
-    let base = MemoConfig::l1_l2(8 * 1024, 256 * 1024);
-    let cells: Vec<BatchCell> = vec![
-        BatchCell {
-            memo: base.clone(),
-            max_cycles: u64::MAX,
-            plan: None,
-        },
-        BatchCell {
-            memo: MemoConfig {
-                faults: FaultConfig::domain(
-                    7,
-                    50_000,
-                    FaultDomain::L1Only,
-                    Protection::Unprotected,
-                ),
-                ..base.clone()
-            },
-            max_cycles: u64::MAX,
-            plan: None,
-        },
-        BatchCell {
-            memo: MemoConfig {
-                faults: FaultConfig::domain(
-                    11,
-                    5_000,
-                    FaultDomain::L2Only,
-                    Protection::EccProtected,
-                ),
-                ..base.clone()
-            },
-            max_cycles: u64::MAX,
-            plan: None,
-        },
-        BatchCell {
-            memo: MemoConfig::l1_only(4 * 1024),
-            max_cycles: u64::MAX,
-            plan: None,
-        },
-        // The early-halt lane: blackscholes tiny needs ~100k memoized
-        // cycles, so this watchdog trips mid-batch while every other
-        // lane keeps running.
-        BatchCell {
-            memo: base.clone(),
-            max_cycles: 5_000,
-            plan: None,
-        },
-    ];
-    let opts = RunOptions {
-        dispatch: DispatchTier::Batched,
-        ..RunOptions::default()
-    };
-    let cache = BaselineCache::new();
-    let tel_for = |_: &BatchCell| {
-        let sink = RingBufferSink::new(4_000_000);
-        let mut tel = Telemetry::enabled();
-        tel.add_sink(Box::new(sink.clone()));
-        (tel, sink)
-    };
-
-    // The multi-lane lockstep run.
-    let (mut tels, sinks): (Vec<_>, Vec<_>) = cells.iter().map(tel_for).unzip();
-    let batched = run_batch_cached(
-        bench.as_ref(),
-        Scale::Tiny,
-        Dataset::Eval,
-        opts,
-        &cache,
-        &cells,
-        &mut tels,
-    )
-    .expect("cache supplies baseline and prepared program");
-
-    // Serial reference: each cell alone in a single-lane batch.
-    for (lane, cell) in cells.iter().enumerate() {
-        let (mut ref_tels, ref_sinks): (Vec<_>, Vec<_>) = std::iter::once(tel_for(cell)).unzip();
-        let serial = run_batch_cached(
-            bench.as_ref(),
-            Scale::Tiny,
-            Dataset::Eval,
-            opts,
-            &cache,
-            std::slice::from_ref(cell),
-            &mut ref_tels,
-        )
-        .expect("cache supplies baseline and prepared program");
-        match (&batched[lane], &serial[0]) {
-            (Ok(got), Ok(want)) => {
-                assert_eq!(
-                    got.result.memo_stats, want.result.memo_stats,
-                    "lane {lane}: memoized stats diverge from serial run"
-                );
-                assert_eq!(
-                    got.to_json(),
-                    want.to_json(),
-                    "lane {lane}: report JSON diverges from serial run"
-                );
-            }
-            (Err(got), Err(want)) => {
-                assert_eq!(
-                    got.to_string(),
-                    want.to_string(),
-                    "lane {lane}: failure diverges from serial run"
-                );
-            }
-            (got, want) => panic!(
-                "lane {lane}: outcome class diverges (batched ok={}, serial ok={})",
-                got.is_ok(),
-                want.is_ok()
-            ),
-        }
-        assert_eq!(sinks[lane].dropped(), 0, "lane {lane}: events truncated");
-        assert_eq!(
-            ref_sinks[0].dropped(),
-            0,
-            "lane {lane}: ref events truncated"
-        );
-        let got: Vec<String> = sinks[lane].events().iter().map(event_to_json).collect();
-        let want: Vec<String> = ref_sinks[0].events().iter().map(event_to_json).collect();
-        assert_eq!(
-            got.len(),
-            want.len(),
-            "lane {lane}: event counts diverge from serial run"
-        );
-        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-            assert_eq!(g, w, "lane {lane}: event {i} diverges from serial run");
-        }
-    }
-
-    // The scenario actually exercised what it claims: the watchdog lane
-    // died early, the fault lanes diverged from the fault-free lane,
-    // and the survivors all completed.
-    let err = batched[4].as_ref().expect_err("tight watchdog must trip");
-    assert!(
-        err.to_string().contains("cycle"),
-        "watchdog lane failed for the wrong reason: {err}"
-    );
-    let ok_stats: Vec<_> = batched[..4]
-        .iter()
-        .map(|r| {
-            r.as_ref()
-                .expect("survivor lane completed")
-                .result
-                .memo_stats
-        })
-        .collect();
-    assert!(
-        ok_stats[1..].iter().any(|s| *s != ok_stats[0]),
-        "fault/geometry lanes never diverged from the fault-free lane"
+        render(DispatchTier::Threaded),
+        render(DispatchTier::Legacy),
+        "fault-sweep report must not depend on the interpreter"
     );
 }

@@ -13,12 +13,12 @@
 //! the ladder fresh so the warm run re-earns any degradation.
 
 use axmemo_bench::{run_cell_report_snap, RunOptions, SnapshotPlan};
-use axmemo_core::backend::RestorePolicy;
 use axmemo_core::config::MemoConfig;
 use axmemo_core::ids::{LutId, ThreadId};
 use axmemo_core::quality::{DegradationStage, QualityState};
 use axmemo_core::truncate::InputValue;
 use axmemo_core::unit::{LookupResult, MemoizationUnit};
+use axmemo_core::RestorePolicy;
 use axmemo_telemetry::Telemetry;
 use axmemo_workloads::{benchmark_by_name, Benchmark, Scale};
 use std::path::PathBuf;

@@ -6,7 +6,8 @@
 //! tests pin the `--snapshot-out` / `--restore-from` plumbing: warm
 //! runs beat cold runs, restored entries never count as this-run
 //! activity, the default-off path is byte-identical, and snapshot
-//! files are deterministic.
+//! files are deterministic. The export tests pin that a corrupt stored
+//! record degrades to a skipped-and-counted entry instead of a panic.
 
 use std::collections::HashSet;
 use std::path::PathBuf;
@@ -16,6 +17,7 @@ use axmemo_core::config::MemoConfig;
 use axmemo_core::ids::{LutId, ThreadId};
 use axmemo_core::snapshot::{CrashMode, CrashPoint, MemoSnapshot, RecoveryOutcome};
 use axmemo_core::truncate::InputValue;
+use axmemo_core::two_level::TwoLevelLut;
 use axmemo_core::unit::{LookupResult, MemoizationUnit};
 use axmemo_telemetry::Telemetry;
 use axmemo_workloads::{benchmark_by_name, Benchmark, Scale};
@@ -339,5 +341,71 @@ fn missing_restore_file_is_an_error_naming_the_path() {
     assert!(
         msg.contains(bogus.to_str().unwrap()),
         "error must name the path: {msg}"
+    );
+}
+
+/// Fault-then-export regression: a stored `lut_id`
+/// corrupted out of range — an SEU in the tag bits — must degrade to a
+/// skipped-and-counted record, never a panic, on both the export path
+/// and the insert-eviction path.
+#[test]
+fn corrupt_stored_lut_id_degrades_instead_of_panicking() {
+    let mut lut = TwoLevelLut::new(&MemoConfig::l1_only(1024));
+    let lut_id = LutId::new(3).unwrap();
+    for crc in 0..64u64 {
+        lut.update(lut_id, crc, crc + 100);
+    }
+    let (clean, skipped) = lut.export_l1_counted();
+    assert_eq!(skipped, 0);
+    assert!(!clean.is_empty());
+
+    // Flip the stored LUT_ID tag of one live entry out of range.
+    let victim = clean[0];
+    assert!(
+        lut.l1_mut()
+            .corrupt_stored_lut_id(victim.lut_id, victim.crc, 0xEE),
+        "corruption hook must find the live entry"
+    );
+
+    // Export path: the bad record is skipped and counted, not a panic.
+    let (dirty, skipped) = lut.export_l1_counted();
+    assert_eq!(skipped, 1, "exactly the corrupted record is skipped");
+    assert_eq!(dirty.len(), clean.len() - 1);
+
+    // Armed-capture path: the skip lands in snapshot telemetry.
+    let mut tel = Telemetry::enabled();
+    let snap = MemoSnapshot::capture_tel(&lut, None, None, &mut tel);
+    assert_eq!(snap.l1_entries.len(), clean.len() - 1);
+    assert_eq!(tel.registry().counter("snapshot.capture.bad_records"), 1);
+
+    // Insert-eviction path: keep inserting until the corrupted victim
+    // is evicted; the eviction must drop-and-count, not panic.
+    let before = lut.l1().bad_entries_dropped();
+    for crc in 64..4096u64 {
+        lut.update(lut_id, crc, crc);
+    }
+    assert!(
+        lut.l1().bad_entries_dropped() > before,
+        "evicting the corrupted entry must count a dropped record"
+    );
+}
+
+/// A clean hierarchy emits no `snapshot.capture.bad_records` counter
+/// at all (default registries stay byte-identical).
+#[test]
+fn clean_capture_emits_no_bad_record_counter() {
+    let mut lut = TwoLevelLut::new(&MemoConfig::l1_only(1024));
+    let lut_id = LutId::new(0).unwrap();
+    for crc in 0..32u64 {
+        lut.update(lut_id, crc, crc);
+    }
+    let mut tel = Telemetry::enabled();
+    let _ = MemoSnapshot::capture_tel(&lut, None, None, &mut tel);
+    assert_eq!(tel.registry().counter("snapshot.capture.bad_records"), 0);
+    assert!(
+        !tel.registry()
+            .counters()
+            .any(|(name, _)| name.contains("bad_records")),
+        "clean captures must not materialize the counter"
     );
 }

@@ -3,9 +3,44 @@
 //! report, and the JSONL trace must be well-formed line by line.
 
 use axmemo_core::config::MemoConfig;
+use axmemo_sim::cpu::DispatchTier;
 use axmemo_telemetry::{JsonlSink, RingBufferSink, Telemetry};
 use axmemo_workloads::runner::{run_benchmark_report, RunOptions};
-use axmemo_workloads::{benchmark_by_name, Dataset, Scale};
+use axmemo_workloads::{all_benchmarks, benchmark_by_name, Dataset, Scale};
+
+/// The profiler's exclusive cycles partition the memoized run: summed
+/// over every phase they equal `RunStats::cycles` exactly, for every
+/// kernel on both tiers. LUT leaves can claim more cycles than a single
+/// superblock retires (CRC beats overlap pipeline time); the threaded
+/// tier must carry that excess forward instead of dropping it and
+/// over-attributing.
+#[test]
+fn profile_exclusive_cycles_sum_to_run_cycles() {
+    let cfg = MemoConfig::l1_l2(8 * 1024, 512 * 1024);
+    for bench in all_benchmarks() {
+        let name = bench.meta().name;
+        for tier in DispatchTier::ALL {
+            let mut tel = Telemetry::off();
+            tel.profiler_mut().enable();
+            let opts = RunOptions {
+                dispatch: tier,
+                ..RunOptions::default()
+            };
+            let report =
+                run_benchmark_report(bench.as_ref(), Scale::Tiny, Dataset::Eval, &cfg, opts, tel)
+                    .unwrap_or_else(|e| panic!("{name} ({}): {e}", tier.name()));
+            let profile = report.telemetry.take_profile().expect("profiler enabled");
+            let exclusive: u64 = profile.phases.values().map(|p| p.cycles).sum();
+            assert_eq!(
+                exclusive,
+                report.result.memo_stats.cycles,
+                "{name} ({}): exclusive cycles {exclusive} != run cycles",
+                tier.name()
+            );
+            assert_eq!(profile.phases["run"].total, report.result.memo_stats.cycles);
+        }
+    }
+}
 
 /// Every `TwoLevelLut` probe emits exactly one `lut.hit` or `lut.miss`
 /// event, so the event totals must reproduce `BenchmarkResult.hit_rate`
