@@ -6,7 +6,7 @@
 //! re-hashes the raw input bytes at 16/32/64 bits, counting *tag
 //! collisions*: distinct input tuples mapping to the same CRC value.
 
-use axmemo_bench::{collect_events, scale_from_env};
+use axmemo_bench::{collect_events, scale_from_env, DispatchTier};
 use axmemo_core::crc::{CrcAlgorithm, CrcWidth, TableCrc};
 use axmemo_workloads::all_benchmarks;
 use std::collections::HashMap;
@@ -39,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "Benchmark", "lookups", "CRC16 collide", "CRC32 collide", "CRC64 collide"
     );
     for bench in all_benchmarks() {
-        let inputs = collect_events(bench.as_ref(), scale)?;
+        let inputs = collect_events(bench.as_ref(), scale, DispatchTier::default(), None)?;
         let stream: Vec<(u8, Vec<u8>)> = inputs
             .events
             .iter()

@@ -5,8 +5,9 @@
 //! LLC partition supplies capacity; this sweep quantifies what a single
 //! flat level of equal capacity would have to cost to match.
 
-use axmemo_bench::{geomean, run_cell_cached, scale_from_env, BenchArgs};
+use axmemo_bench::{geomean, run, scale_from_env, BenchArgs, RunRequest};
 use axmemo_core::config::MemoConfig;
+use axmemo_telemetry::Telemetry;
 use axmemo_workloads::all_benchmarks;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -37,13 +38,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut speedups = Vec::new();
         let mut hits = Vec::new();
         for bench in all_benchmarks() {
-            let r = run_cell_cached(
-                bench.as_ref(),
-                scale,
-                &cfg,
-                cache.as_ref(),
-                args.run_options(),
-            )?;
+            let req = RunRequest {
+                dispatch: args.dispatch,
+                cache: cache.as_ref(),
+                ..RunRequest::new(bench.as_ref(), scale, &cfg)
+            };
+            let r = run(&req, &mut Telemetry::off())?.result;
             speedups.push(r.speedup);
             hits.push(r.hit_rate);
         }

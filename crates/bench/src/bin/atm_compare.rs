@@ -4,7 +4,7 @@
 //! inversek2j and kmeans, with slowdowns elsewhere and a geomean of
 //! 0.8x.
 
-use axmemo_bench::{atm_outcome, collect_events, geomean, scale_from_env};
+use axmemo_bench::{atm_outcome, collect_events, geomean, scale_from_env, DispatchTier};
 use axmemo_workloads::all_benchmarks;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -16,7 +16,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let mut speedups = Vec::new();
     for bench in all_benchmarks() {
-        let inputs = collect_events(bench.as_ref(), scale)?;
+        let inputs = collect_events(bench.as_ref(), scale, DispatchTier::default(), None)?;
         let atm = atm_outcome(&inputs);
         println!(
             "{:<14} | {:>9.2}x | {:>9.1}% | {:>13.2}% | {:>12.2}",

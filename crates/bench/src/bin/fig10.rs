@@ -4,8 +4,8 @@
 //! higher-collision error.
 
 use axmemo_bench::{
-    collect_events_cached, paper_configs, run_cell_report_cached, scale_from_env,
-    software_lut_outcome, BenchArgs, ReportMode, Table,
+    collect_events, paper_configs, run, scale_from_env, software_lut_outcome, BenchArgs,
+    ReportMode, RunRequest, Table,
 };
 use axmemo_core::config::MemoConfig;
 use axmemo_workloads::all_benchmarks;
@@ -35,22 +35,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for bench in all_benchmarks() {
         let mut cells = vec![bench.meta().name.to_string()];
         for (_, cfg) in &configs {
-            let report = run_cell_report_cached(
-                bench.as_ref(),
-                scale,
-                cfg,
-                tel,
-                cache.as_ref(),
-                args.run_options(),
-            )?;
-            tel = report.telemetry;
+            let req = RunRequest {
+                dispatch: args.dispatch,
+                cache: cache.as_ref(),
+                ..RunRequest::new(bench.as_ref(), scale, cfg)
+            };
+            let report = run(&req, &mut tel)?;
             let r = &report.result;
             cells.push(format!("{:.4}%", 100.0 * r.error.output_error));
             if *cfg == big {
                 cdf_sources.push((bench.meta().name, r.error.elementwise.clone()));
             }
         }
-        let inputs = collect_events_cached(bench.as_ref(), scale, cache.as_ref())?;
+        let inputs = collect_events(bench.as_ref(), scale, args.dispatch, cache.as_ref())?;
         let sw = software_lut_outcome(&inputs);
         cells.push(format!("{:.2}%", 100.0 * sw.collision_rate()));
         table.row(cells);

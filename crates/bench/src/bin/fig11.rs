@@ -2,15 +2,17 @@
 //! saving of AxMemo with truncation versus exact memoization (no
 //! truncation), both on the L1(8KB)+L2(512KB) configuration.
 
-use axmemo_bench::{geomean, mean, scale_from_env, BenchArgs, ReportMode, RunOptions, Table};
+use axmemo_bench::{geomean, mean, run, scale_from_env, BenchArgs, ReportMode, RunRequest, Table};
 use axmemo_core::config::MemoConfig;
-use axmemo_workloads::runner::run_benchmark_report;
-use axmemo_workloads::{all_benchmarks, Dataset};
+use axmemo_workloads::all_benchmarks;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = BenchArgs::parse();
     let mut tel = args.telemetry()?;
     let scale = scale_from_env();
+    // The baseline does not depend on truncation: both legs of every
+    // benchmark share one (--no-baseline-cache opts out).
+    let cache = args.baseline_cache();
     let cfg = MemoConfig::l1_l2(8 * 1024, 512 * 1024);
     let mut table = Table::new(
         format!(
@@ -30,20 +32,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut ex_speed = Vec::new();
     let mut ax_hits = Vec::new();
     let mut ex_hits = Vec::new();
-    let opts = args.run_options();
-    let exact_opts = RunOptions {
-        zero_trunc: true,
-        ..opts
-    };
     for bench in all_benchmarks() {
-        let ax_report =
-            run_benchmark_report(bench.as_ref(), scale, Dataset::Eval, &cfg, opts, tel)?;
-        tel = ax_report.telemetry;
-        let ax = &ax_report.result;
-        let ex_report =
-            run_benchmark_report(bench.as_ref(), scale, Dataset::Eval, &cfg, exact_opts, tel)?;
-        tel = ex_report.telemetry;
-        let ex = &ex_report.result;
+        let approx = RunRequest {
+            dispatch: args.dispatch,
+            cache: cache.as_ref(),
+            ..RunRequest::new(bench.as_ref(), scale, &cfg)
+        };
+        let ax = run(&approx, &mut tel)?.result;
+        let exact = RunRequest {
+            zero_trunc: true,
+            ..approx
+        };
+        let ex = run(&exact, &mut tel)?.result;
         table.row(vec![
             bench.meta().name.to_string(),
             format!("{:.2}x", ax.speedup),

@@ -3,8 +3,8 @@
 //! contender, all normalised to the non-memoized baseline.
 
 use axmemo_bench::{
-    collect_events_cached, geomean, paper_configs, run_cell_report_snap, scale_from_env,
-    software_lut_outcome, BenchArgs, ReportMode, Table,
+    collect_events, geomean, paper_configs, run, scale_from_env, software_lut_outcome, BenchArgs,
+    ReportMode, RunRequest, Table,
 };
 use axmemo_workloads::all_benchmarks;
 
@@ -39,27 +39,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut speed_cells = vec![name.clone(), "speedup".to_string()];
         let mut energy_cells = vec![name, "energy".to_string()];
         for (i, (_, cfg)) in configs.iter().enumerate() {
-            let report = run_cell_report_snap(
-                bench.as_ref(),
-                scale,
-                cfg,
-                tel,
-                cache.as_ref(),
-                args.run_options(),
-                &plan,
-            )
-            .unwrap_or_else(|e| {
-                eprintln!("error: {e}");
+            let req = RunRequest {
+                dispatch: args.dispatch,
+                cache: cache.as_ref(),
+                snapshot: plan.clone(),
+                ..RunRequest::new(bench.as_ref(), scale, cfg)
+            };
+            let report = run(&req, &mut tel).unwrap_or_else(|e| {
+                eprintln!("error: {}", e.message);
                 std::process::exit(1);
             });
-            tel = report.telemetry;
             let r = &report.result;
             speed_cells.push(format!("{:.2}x", r.speedup));
             energy_cells.push(format!("{:.2}x", r.energy_reduction));
             speedups[i].push(r.speedup);
             energies[i].push(r.energy_reduction);
         }
-        let inputs = collect_events_cached(bench.as_ref(), scale, cache.as_ref())?;
+        let inputs = collect_events(bench.as_ref(), scale, args.dispatch, cache.as_ref())?;
         let sw = software_lut_outcome(&inputs);
         speed_cells.push(format!("{:.2}x", sw.speedup));
         energy_cells.push(format!("{:.2}x", sw.energy_ratio));

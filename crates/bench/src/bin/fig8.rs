@@ -4,8 +4,8 @@
 //! software-LUT contender's instruction ratio (~2x in the paper).
 
 use axmemo_bench::{
-    collect_events_cached, mean, paper_configs, run_cell_report_cached, scale_from_env,
-    software_lut_outcome, BenchArgs, ReportMode, Table,
+    collect_events, mean, paper_configs, run, scale_from_env, software_lut_outcome, BenchArgs,
+    ReportMode, RunRequest, Table,
 };
 use axmemo_workloads::all_benchmarks;
 
@@ -32,15 +32,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for bench in all_benchmarks() {
         let mut cells = vec![bench.meta().name.to_string()];
         for (i, (_, cfg)) in configs.iter().enumerate() {
-            let report = run_cell_report_cached(
-                bench.as_ref(),
-                scale,
-                cfg,
-                tel,
-                cache.as_ref(),
-                args.run_options(),
-            )?;
-            tel = report.telemetry;
+            let req = RunRequest {
+                dispatch: args.dispatch,
+                cache: cache.as_ref(),
+                ..RunRequest::new(bench.as_ref(), scale, cfg)
+            };
+            let report = run(&req, &mut tel)?;
             let r = &report.result;
             cells.push(format!(
                 "{:.3} ({:.1}%)",
@@ -49,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ));
             totals[i].push(r.dyn_inst_ratio);
         }
-        let inputs = collect_events_cached(bench.as_ref(), scale, cache.as_ref())?;
+        let inputs = collect_events(bench.as_ref(), scale, args.dispatch, cache.as_ref())?;
         let sw = software_lut_outcome(&inputs);
         cells.push(format!("{:.3}", sw.inst_ratio));
         sw_ratios.push(sw.inst_ratio);

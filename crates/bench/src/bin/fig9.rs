@@ -2,8 +2,8 @@
 //! configurations plus the software-LUT contender.
 
 use axmemo_bench::{
-    collect_events_cached, mean, paper_configs, run_cell_report_cached, scale_from_env,
-    software_lut_outcome, BenchArgs, ReportMode, Table,
+    collect_events, mean, paper_configs, run, scale_from_env, software_lut_outcome, BenchArgs,
+    ReportMode, RunRequest, Table,
 };
 use axmemo_workloads::all_benchmarks;
 
@@ -27,20 +27,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for bench in all_benchmarks() {
         let mut cells = vec![bench.meta().name.to_string()];
         for (i, (_, cfg)) in configs.iter().enumerate() {
-            let report = run_cell_report_cached(
-                bench.as_ref(),
-                scale,
-                cfg,
-                tel,
-                cache.as_ref(),
-                args.run_options(),
-            )?;
-            tel = report.telemetry;
+            let req = RunRequest {
+                dispatch: args.dispatch,
+                cache: cache.as_ref(),
+                ..RunRequest::new(bench.as_ref(), scale, cfg)
+            };
+            let report = run(&req, &mut tel)?;
             let r = &report.result;
             cells.push(format!("{:.1}%", 100.0 * r.hit_rate));
             per_config[i].push(r.hit_rate);
         }
-        let inputs = collect_events_cached(bench.as_ref(), scale, cache.as_ref())?;
+        let inputs = collect_events(bench.as_ref(), scale, args.dispatch, cache.as_ref())?;
         let sw = software_lut_outcome(&inputs);
         cells.push(format!("{:.1}%", 100.0 * sw.hit_rate()));
         sw_rates.push(sw.hit_rate());

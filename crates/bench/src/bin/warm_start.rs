@@ -22,9 +22,7 @@
 //! flags (any `--state-dir`) are byte-identical — the property the CI
 //! crash-recovery job diffs.
 
-use axmemo_bench::{
-    run_cell_report_snap, scale_from_env, BenchArgs, ReportMode, SnapshotPlan, Table,
-};
+use axmemo_bench::{run, scale_from_env, BenchArgs, ReportMode, RunRequest, SnapshotPlan, Table};
 use axmemo_core::config::MemoConfig;
 use axmemo_workloads::all_benchmarks;
 use std::path::PathBuf;
@@ -125,20 +123,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 snapshot_out: Some(snap_path(generation)),
                 restore_policy: args.restore_policy,
             };
-            let report = run_cell_report_snap(
-                bench.as_ref(),
-                scale,
-                &memo,
-                tel,
-                cache.as_ref(),
-                args.run_options(),
-                &plan,
-            )
-            .unwrap_or_else(|e| {
-                eprintln!("error: {e}");
+            let req = RunRequest {
+                dispatch: args.dispatch,
+                cache: cache.as_ref(),
+                snapshot: plan,
+                ..RunRequest::new(bench.as_ref(), scale, &memo)
+            };
+            let report = run(&req, &mut tel).unwrap_or_else(|e| {
+                eprintln!("error: {}", e.message);
                 std::process::exit(1);
             });
-            tel = report.telemetry;
             let r = &report.result;
             if generation == 0 {
                 cold_hit_rate = r.hit_rate;

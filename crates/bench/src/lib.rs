@@ -31,12 +31,8 @@ pub use axmemo_sim::cpu::DispatchTier;
 use axmemo_sim::cpu::{SimConfig, Simulator};
 use axmemo_sim::stats::RunStats;
 use axmemo_telemetry::{escape_json, JsonlSink, Profile, Telemetry};
-pub use axmemo_workloads::runner::RunOptions;
-pub use axmemo_workloads::runner::SnapshotPlan;
-use axmemo_workloads::runner::{
-    run_benchmark_report, run_benchmark_report_cached, run_benchmark_report_snap, RunReport,
-};
-use axmemo_workloads::{run_benchmark, Benchmark, BenchmarkResult, Dataset, Scale};
+pub use axmemo_workloads::runner::{run, RunRequest, SnapshotPlan};
+use axmemo_workloads::{Benchmark, BenchmarkResult, Dataset, Scale};
 
 pub use axmemo_workloads::BaselineCache;
 
@@ -253,20 +249,11 @@ impl BenchArgs {
     /// Build the sweep-wide [`BaselineCache`] the flags ask for:
     /// `Some` (share one baseline run per distinct benchmark) unless
     /// `--no-baseline-cache` was given. Serial figure binaries thread
-    /// the returned cache through [`run_cell_cached`] /
-    /// [`collect_events_cached`]; orchestrated sweeps pass the flag to
+    /// the returned cache through [`RunRequest::cache`] and
+    /// [`collect_events`]; orchestrated sweeps pass the flag to
     /// [`orchestrator::Orchestrator::baseline_cache`] instead.
     pub fn baseline_cache(&self) -> Option<BaselineCache> {
         (!self.no_baseline_cache).then(BaselineCache::new)
-    }
-
-    /// The per-run switches the flags ask for: default options on the
-    /// `--dispatch` execution tier.
-    pub fn run_options(&self) -> RunOptions {
-        RunOptions {
-            dispatch: self.dispatch,
-            ..RunOptions::default()
-        }
     }
 
     /// Build the telemetry handle the flags ask for: enabled with a
@@ -508,110 +495,19 @@ pub fn paper_configs() -> Vec<(String, MemoConfig)> {
     MemoConfig::paper_sweep()
 }
 
-/// Run one (benchmark × config) cell on the evaluation dataset.
+/// Run one (benchmark × config) cell on the evaluation dataset with
+/// every [`RunRequest`] default. Figure binaries that honour the shared
+/// flags build a [`RunRequest`] and call [`run`] instead.
 ///
 /// # Errors
 ///
-/// Propagates simulator/codegen failures.
+/// Propagates the cell's [`axmemo_workloads::RunFailure`].
 pub fn run_cell(
     bench: &dyn Benchmark,
     scale: Scale,
     memo: &MemoConfig,
 ) -> Result<BenchmarkResult, Box<dyn std::error::Error>> {
-    run_benchmark(bench, scale, Dataset::Eval, memo)
-}
-
-/// [`run_cell`] with telemetry: the memoized run executes under a
-/// `run:<name>` span with `tel` threaded through the simulator; the
-/// handle comes back inside the [`RunReport`] so the caller can pass
-/// it to the next cell.
-///
-/// # Errors
-///
-/// Propagates simulator/codegen failures.
-pub fn run_cell_report(
-    bench: &dyn Benchmark,
-    scale: Scale,
-    memo: &MemoConfig,
-    tel: Telemetry,
-) -> Result<RunReport, Box<dyn std::error::Error>> {
-    run_benchmark_report(
-        bench,
-        scale,
-        Dataset::Eval,
-        memo,
-        RunOptions::default(),
-        tel,
-    )
-}
-
-/// [`run_cell`] reusing a sweep-wide [`BaselineCache`]: a figure binary
-/// that runs the same benchmark under several configurations simulates
-/// its fault-free baseline once instead of once per configuration. Pass
-/// `None` (the `--no-baseline-cache` path) to reproduce [`run_cell`]
-/// exactly.
-///
-/// # Errors
-///
-/// Propagates simulator/codegen failures, including a cached baseline
-/// failure.
-pub fn run_cell_cached(
-    bench: &dyn Benchmark,
-    scale: Scale,
-    memo: &MemoConfig,
-    cache: Option<&BaselineCache>,
-    opts: RunOptions,
-) -> Result<BenchmarkResult, Box<dyn std::error::Error>> {
-    run_cell_report_cached(bench, scale, memo, Telemetry::off(), cache, opts).map(|r| r.result)
-}
-
-/// [`run_cell_report`] reusing a sweep-wide [`BaselineCache`]; see
-/// [`run_cell_cached`].
-///
-/// # Errors
-///
-/// Propagates simulator/codegen failures, including a cached baseline
-/// failure.
-pub fn run_cell_report_cached(
-    bench: &dyn Benchmark,
-    scale: Scale,
-    memo: &MemoConfig,
-    tel: Telemetry,
-    cache: Option<&BaselineCache>,
-    opts: RunOptions,
-) -> Result<RunReport, Box<dyn std::error::Error>> {
-    run_benchmark_report_cached(bench, scale, Dataset::Eval, memo, opts, tel, cache)
-}
-
-/// [`run_cell_report_cached`] with a [`SnapshotPlan`] (from
-/// [`BenchArgs::snapshot_plan_for`]): warm-start from
-/// `plan.restore_from`, write the end-of-run image to
-/// `plan.snapshot_out` (creating its parent directory). The empty plan
-/// reproduces [`run_cell_report_cached`] byte-for-byte.
-///
-/// # Errors
-///
-/// Propagates simulator/codegen failures, cached baseline failures, and
-/// snapshot I/O failures (which name the offending path). A corrupt
-/// snapshot file is not an error; it degrades to a reported cold start.
-pub fn run_cell_report_snap(
-    bench: &dyn Benchmark,
-    scale: Scale,
-    memo: &MemoConfig,
-    tel: Telemetry,
-    cache: Option<&BaselineCache>,
-    opts: RunOptions,
-    plan: &SnapshotPlan,
-) -> Result<RunReport, Box<dyn std::error::Error>> {
-    if let Some(parent) = plan.snapshot_out.as_deref().and_then(|p| p.parent()) {
-        std::fs::create_dir_all(parent).map_err(|e| {
-            std::io::Error::new(
-                e.kind(),
-                format!("--snapshot-out {}: {e}", parent.display()),
-            )
-        })?;
-    }
-    run_benchmark_report_snap(bench, scale, Dataset::Eval, memo, opts, tel, cache, plan)
+    Ok(run(&RunRequest::new(bench, scale, memo), &mut Telemetry::off())?.result)
 }
 
 /// Everything the software contenders need: the recorded lookup-event
@@ -626,65 +522,45 @@ pub struct ContenderInputs {
     pub profile: axmemo_baselines::KernelProfile,
 }
 
-/// Collect contender inputs for one benchmark: run the baseline for
-/// stats, then run the memoized binary with a *very large* LUT and no
-/// quality sampling so the event stream reflects the workload's true
-/// reuse, recording every lookup.
-///
-/// # Errors
-///
-/// Propagates simulator/codegen failures.
-pub fn collect_events(
-    bench: &dyn Benchmark,
-    scale: Scale,
-) -> Result<ContenderInputs, Box<dyn std::error::Error>> {
-    collect_events_cached(bench, scale, None)
-}
-
-/// [`collect_events`] reusing a sweep-wide [`BaselineCache`] for the
-/// baseline-stats leg (the event-recording memoized run is unique to
-/// this collection and always executes). The cached baseline is the
-/// same deterministic simulation, so the contender inputs are
-/// identical; a figure binary that has already run the benchmark's
-/// cells skips one whole baseline re-simulation here.
+/// Collect contender inputs for one benchmark on the `dispatch` tier:
+/// the baseline stats (shared through `cache` when given), then the
+/// memoized binary with a *very large* LUT and no quality sampling so
+/// the event stream reflects the workload's true reuse, recording every
+/// lookup.
 ///
 /// # Errors
 ///
 /// Propagates simulator/codegen failures, including a cached baseline
 /// failure.
-pub fn collect_events_cached(
+pub fn collect_events(
     bench: &dyn Benchmark,
     scale: Scale,
+    dispatch: DispatchTier,
     cache: Option<&BaselineCache>,
 ) -> Result<ContenderInputs, Box<dyn std::error::Error>> {
     let (program, specs) = bench.program(scale);
     let memoized = memoize(&program, &specs)?;
-
-    let baseline = match cache {
-        Some(cache) => {
-            cache
-                .get_or_compute(
-                    bench,
-                    scale,
-                    Dataset::Eval,
-                    u64::MAX,
-                    DispatchTier::default(),
-                )?
-                .stats
-        }
+    let local;
+    let cache = match cache {
+        Some(cache) => cache,
         None => {
-            let mut base_sim = Simulator::new(SimConfig::baseline())?;
-            let mut base_machine = bench.setup(scale, Dataset::Eval);
-            base_sim.run(&program, &mut base_machine)?
+            local = BaselineCache::new();
+            &local
         }
     };
+    let baseline = cache
+        .get_or_compute(bench, scale, Dataset::Eval, u64::MAX, dispatch)?
+        .stats;
 
     let cfg = MemoConfig {
         data_width: bench.data_width(),
         quality_monitoring: false,
         ..MemoConfig::l1_l2(16 * 1024, 512 * 1024)
     };
-    let mut sim = Simulator::new(SimConfig::with_memo(cfg))?;
+    let mut sim = Simulator::new(SimConfig {
+        dispatch,
+        ..SimConfig::with_memo(cfg)
+    })?;
     sim.memo_unit_mut()
         .expect("memo configured")
         .enable_event_log();
@@ -881,7 +757,6 @@ mod tests {
             DispatchTier::Threaded,
             "threaded tier is the default"
         );
-        assert_eq!(default.run_options().dispatch, DispatchTier::Threaded);
         for (flag, tier) in [
             ("legacy", DispatchTier::Legacy),
             ("threaded", DispatchTier::Threaded),
@@ -889,7 +764,6 @@ mod tests {
             let args =
                 BenchArgs::try_from_iter(["--dispatch".to_string(), flag.to_string()]).unwrap();
             assert_eq!(args.dispatch, tier, "--dispatch {flag}");
-            assert_eq!(args.run_options().dispatch, tier);
         }
         // The removed tiers and their flags are rejected like any
         // unknown value, and the usage line names the two tiers.
@@ -966,7 +840,6 @@ mod tests {
         .unwrap();
         let plan = args.snapshot_plan_for("fft");
         assert!(!plan.is_empty());
-        assert!(plan.warm());
         assert_eq!(
             plan.snapshot_out.as_deref(),
             Some(std::path::Path::new("/tmp/warm/fft.axmsnap"))

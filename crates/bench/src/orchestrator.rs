@@ -1,6 +1,6 @@
 //! Parallel sweep orchestration: a zero-dependency `std::thread` worker
 //! pool that runs a declarative (benchmark × config) job matrix through
-//! the supervised runner and aggregates results in **deterministic
+//! [`runner::run`] and aggregates results in **deterministic
 //! job-index order**, regardless of which worker finishes first.
 //!
 //! Every figure/sweep binary used to walk its matrix serially on one
@@ -16,11 +16,10 @@
 //!    back in index order, so aggregation (tables, telemetry spans,
 //!    summaries) never observes completion order.
 //!
-//! Failures never sink a sweep: each job runs under a
-//! [`BudgetPolicy`] (simulated-cycle watchdog, optional wall-clock cap,
-//! bounded retries with exponential backoff, final faults-off attempt)
-//! and a job that exhausts its budget is reported as a structured
-//! [`RunFailure`] row next to its successful siblings.
+//! Failures never sink a sweep: every job is supervised (caught panics,
+//! a simulated-cycle watchdog, one faults-off retry for fault-injecting
+//! configurations) and a job that still fails is reported as a
+//! structured [`RunFailure`] row next to its successful siblings.
 //!
 //! ```
 //! use axmemo_bench::orchestrator::{JobMatrix, JobSpec, Orchestrator};
@@ -40,10 +39,8 @@ use std::sync::Mutex;
 use axmemo_core::config::MemoConfig;
 use axmemo_sim::cpu::DispatchTier;
 use axmemo_telemetry::{Profile, Telemetry};
-use axmemo_workloads::runner::{
-    BaselineCache, BudgetPolicy, RunFailure, RunOptions, SupervisedRun,
-};
-use axmemo_workloads::{benchmark_by_name, runner, Dataset, FailureKind, Scale};
+use axmemo_workloads::runner::{BaselineCache, RunFailure, RunRequest};
+use axmemo_workloads::{benchmark_by_name, runner, FailureKind, Scale};
 
 /// Deterministic-order parallel map: evaluate `f(0..count)` on up to
 /// `jobs` worker threads and return the results **in index order**,
@@ -164,7 +161,8 @@ pub struct JobOutcome {
     pub index: usize,
     /// The job that ran.
     pub spec: JobSpec,
-    /// Attempts the budget machinery made (1 = first try succeeded).
+    /// Attempts the runner made (1 = first try succeeded, 2 = the
+    /// faults-off retry ran).
     pub attempts: u32,
     /// The successful attempt ran with fault injection cleared.
     pub faults_cleared: bool,
@@ -172,7 +170,7 @@ pub struct JobOutcome {
     /// used to key the per-job telemetry span.
     pub sim_cycles: u64,
     /// Wall-clock milliseconds this job spent in the runner (all
-    /// attempts, including backoff pauses). Reflects host load, so it
+    /// attempts). Reflects host load, so it
     /// feeds only the text report's per-group totals — never the
     /// deterministic JSON output.
     pub wall_ms: u64,
@@ -203,8 +201,8 @@ impl JobOutcome {
     }
 }
 
-/// The sweep orchestrator: scale/dataset selection, worker count, and
-/// the per-job [`BudgetPolicy`] shared by every job in a run.
+/// The sweep orchestrator: scale, worker count, and the per-job
+/// switches shared by every job in a run.
 ///
 /// Construct with [`Orchestrator::new`], adjust with the builder
 /// methods, then call [`Orchestrator::run`] (or
@@ -213,9 +211,8 @@ impl JobOutcome {
 #[derive(Debug, Clone)]
 pub struct Orchestrator {
     scale: Scale,
-    dataset: Dataset,
     jobs: usize,
-    budget: BudgetPolicy,
+    max_cycles: u64,
     progress: bool,
     baseline_cache: bool,
     dispatch: DispatchTier,
@@ -224,14 +221,13 @@ pub struct Orchestrator {
 
 impl Orchestrator {
     /// Orchestrator for `scale` on the evaluation dataset: serial
-    /// (`jobs = 1`), default budget, progress lines off, baseline
+    /// (`jobs = 1`), no cycle ceiling, progress lines off, baseline
     /// sharing on.
     pub fn new(scale: Scale) -> Self {
         Self {
             scale,
-            dataset: Dataset::Eval,
             jobs: 1,
-            budget: BudgetPolicy::default(),
+            max_cycles: u64::MAX,
             progress: false,
             baseline_cache: true,
             dispatch: DispatchTier::default(),
@@ -246,15 +242,10 @@ impl Orchestrator {
         self
     }
 
-    /// Set the per-job budget policy.
-    pub fn budget(mut self, budget: BudgetPolicy) -> Self {
-        self.budget = budget;
-        self
-    }
-
-    /// Select the dataset (default: [`Dataset::Eval`]).
-    pub fn dataset(mut self, dataset: Dataset) -> Self {
-        self.dataset = dataset;
+    /// Set every job's simulated-cycle ceiling
+    /// ([`RunRequest::max_cycles`]; default `u64::MAX`).
+    pub fn max_cycles(mut self, max_cycles: u64) -> Self {
+        self.max_cycles = max_cycles;
         self
     }
 
@@ -272,9 +263,7 @@ impl Orchestrator {
     /// independent of each cell's memoization/fault configuration, so
     /// the aggregated report is byte-identical either way; `false` is
     /// the `--no-baseline-cache` escape hatch that re-simulates the
-    /// baseline inside every job exactly as before. The cache also
-    /// enables the per-benchmark derived watchdogs of
-    /// [`BudgetPolicy::derived`].
+    /// baseline inside every job exactly as before.
     pub fn baseline_cache(mut self, on: bool) -> Self {
         self.baseline_cache = on;
         self
@@ -292,7 +281,7 @@ impl Orchestrator {
 
     /// Collect a cycle-attribution profile for every job (default:
     /// off). Each job records into its own profiler — failed attempts
-    /// are discarded by the budgeted runner — so the per-job profiles,
+    /// are discarded by the runner — so the per-job profiles,
     /// and any index-order merge of them, are identical for every
     /// worker count. Profiling rides an otherwise-disabled telemetry
     /// handle: the job's event streams, counters, and report bytes are
@@ -382,9 +371,7 @@ impl Orchestrator {
                 benchmark: spec.benchmark.clone(),
                 kind: FailureKind::Error,
                 message: format!("unknown benchmark {:?}", spec.benchmark),
-                retried: false,
                 attempts: 1,
-                wall_clock_exhausted: false,
             };
             return JobOutcome {
                 index,
@@ -397,9 +384,11 @@ impl Orchestrator {
                 profile: None,
             };
         };
-        let opts = RunOptions {
+        let req = RunRequest {
             dispatch: self.dispatch,
-            ..RunOptions::default()
+            max_cycles: self.max_cycles,
+            cache,
+            ..RunRequest::new(bench.as_ref(), self.scale, &spec.memo)
         };
         // Per-job telemetry: a disabled handle (events/counters/spans
         // off, exactly as before) that carries the profiler when
@@ -408,27 +397,16 @@ impl Orchestrator {
         if self.profile {
             tel.profiler_mut().enable();
         }
-        match runner::run_budgeted_cached_tel(
-            bench.as_ref(),
-            self.scale,
-            self.dataset,
-            &spec.memo,
-            &self.budget,
-            cache,
-            opts,
-            &mut tel,
-        ) {
-            Ok(SupervisedRun {
-                result,
-                attempts,
-                faults_cleared,
-            }) => JobOutcome {
+        let outcome = runner::run(&req, &mut tel);
+        let wall_ms = started.elapsed().as_millis() as u64;
+        match outcome {
+            Ok(report) => JobOutcome {
                 index,
-                attempts,
-                faults_cleared,
-                sim_cycles: result.memo_stats.cycles,
-                wall_ms: started.elapsed().as_millis() as u64,
-                result: Ok(result),
+                attempts: report.attempts,
+                faults_cleared: report.faults_cleared,
+                sim_cycles: report.result.memo_stats.cycles,
+                wall_ms,
+                result: Ok(report.result),
                 spec,
                 profile: tel.take_profile(),
             },
@@ -437,7 +415,7 @@ impl Orchestrator {
                 attempts: failure.attempts,
                 faults_cleared: false,
                 sim_cycles: 0,
-                wall_ms: started.elapsed().as_millis() as u64,
+                wall_ms,
                 result: Err(failure),
                 spec,
                 profile: None,

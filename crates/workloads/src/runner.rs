@@ -1,6 +1,9 @@
 //! One-stop harness: run a benchmark baseline and memoized under a
 //! given LUT configuration and report the paper's metrics (speedup,
 //! energy reduction, dynamic-instruction ratio, hit rate, output error).
+//!
+//! Every cell of the evaluation — a figure column, a fault-sweep job, a
+//! warm-start generation — is one [`RunRequest`] passed to [`run`].
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -11,6 +14,7 @@ use crate::meta::Metric;
 use crate::{Benchmark, Dataset, Scale};
 use axmemo_compiler::codegen::memoize;
 use axmemo_core::config::MemoConfig;
+use axmemo_core::faults::FaultConfig;
 use axmemo_core::lut::LutStats;
 use axmemo_core::snapshot::{MemoSnapshot, RecoveryOutcome, RecoveryReport};
 use axmemo_core::unit::UnitStats;
@@ -22,7 +26,7 @@ use axmemo_sim::pipeline::LatencyModel;
 use axmemo_sim::stats::RunStats;
 use axmemo_sim::threaded::ThreadedProgram;
 use axmemo_sim::Program;
-use axmemo_telemetry::{escape_json, PhaseId, Telemetry};
+use axmemo_telemetry::{escape_json, PhaseId, Registry, Telemetry};
 
 /// Per-element relative errors (for the Fig. 10b CDF) plus aggregates.
 #[derive(Debug, Clone, Default)]
@@ -65,9 +69,10 @@ pub struct BenchmarkResult {
 }
 
 /// [`BenchmarkResult`] plus the observability surface of the memoized
-/// run: memoization-unit counters, per-level LUT statistics, and the
-/// telemetry handle (metrics registry, completed spans, event sinks)
-/// that was threaded through the simulator.
+/// run: memoization-unit counters, per-level LUT statistics, the
+/// snapshot recovery account, and what supervision had to do to get
+/// the result. The telemetry the run recorded stays in the caller's
+/// handle (see [`run`]).
 #[derive(Debug)]
 pub struct RunReport {
     /// The paper metrics (what the figures consume).
@@ -78,19 +83,23 @@ pub struct RunReport {
     pub l1_lut: LutStats,
     /// L2 LUT statistics (all zero for single-level configurations).
     pub l2_lut: LutStats,
-    /// The telemetry handle after the run. Disabled (and empty) when
-    /// the caller passed a disabled handle.
-    pub telemetry: Telemetry,
     /// Recovery account when the run warm-started from a snapshot
     /// (`None` for ordinary cold runs — the default-off path is
     /// byte-identical, including in [`Self::to_json`]).
     pub recovery: Option<RecoveryReport>,
+    /// Attempts made, including the successful one (2 only after the
+    /// faults-off retry).
+    pub attempts: u32,
+    /// The result comes from the faults-off retry: the attempt with the
+    /// requested fault configuration failed.
+    pub faults_cleared: bool,
 }
 
 impl RunReport {
     /// One machine-readable JSON object with the paper metrics, the
-    /// LUT-level statistics, and the telemetry metrics registry.
-    pub fn to_json(&self) -> String {
+    /// LUT-level statistics, and `registry` (the metrics of the
+    /// telemetry handle the run recorded into).
+    pub fn to_json(&self, registry: &Registry) -> String {
         let r = &self.result;
         let mut s = String::with_capacity(512);
         s.push('{');
@@ -136,37 +145,15 @@ impl RunReport {
                 rec.torn_tail
             ));
         }
-        s.push_str(&format!(
-            "\"metrics\":{}",
-            self.telemetry.registry().to_json()
-        ));
+        s.push_str(&format!("\"metrics\":{}", registry.to_json()));
         s.push('}');
         s
     }
 }
 
-/// Per-run switches orthogonal to the LUT configuration.
-///
-/// `Default` matches [`run_benchmark`]: truncation as specified by the
-/// benchmark, threaded superblock interpreter on.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RunOptions {
-    /// Disable input truncation (exact memoization) for the Fig. 11
-    /// approximation-effectiveness comparison.
-    pub zero_trunc: bool,
-    /// Execution tier for both legs (default
-    /// [`DispatchTier::Threaded`]). The slower tiers produce
-    /// bit-identical results (pinned by the decode-equivalence tests),
-    /// so they exist as escape hatches and as the reference sides of
-    /// golden diffs.
-    pub dispatch: DispatchTier,
-}
-
 /// Persistence plan for one run: where to restore warm LUT state from
 /// before executing and where to write the end-of-run snapshot.
 ///
-/// Kept separate from [`RunOptions`] (which stays `Copy` and keys the
-/// baseline/program caches) because paths are per-cell, not per-sweep.
 /// The empty plan is the default and reproduces a plain run
 /// byte-for-byte — persistence is an escape hatch with the same
 /// default-off discipline as `--dispatch legacy`.
@@ -178,6 +165,7 @@ pub struct SnapshotPlan {
     /// I/O failures (missing file, permissions) abort the run.
     pub restore_from: Option<PathBuf>,
     /// Path to atomically write the end-of-run warm image to, if any.
+    /// Missing parent directories are created.
     pub snapshot_out: Option<PathBuf>,
     /// Order/admission policy for the restore. The default
     /// (`OldestFirst`) reproduces pre-policy restores byte-for-byte;
@@ -194,12 +182,76 @@ impl SnapshotPlan {
     pub fn is_empty(&self) -> bool {
         self.restore_from.is_none() && self.snapshot_out.is_none()
     }
+}
 
-    /// `true` when the run warm-starts from a snapshot — the property
-    /// that must reach the [`BaselineCache`] keys so warm cells never
-    /// share compiled programs or baselines with cold ones.
-    pub fn warm(&self) -> bool {
-        self.restore_from.is_some()
+/// One benchmark cell for [`run`]: a benchmark, baseline vs. memoized
+/// under one LUT configuration, plus the per-run switches.
+///
+/// [`RunRequest::new`] gives the defaults — evaluation dataset,
+/// threaded tier, benchmark-specified truncation, no cycle ceiling, no
+/// shared cache, no persistence; override fields with struct-update
+/// syntax:
+///
+/// ```
+/// use axmemo_core::config::MemoConfig;
+/// use axmemo_telemetry::Telemetry;
+/// use axmemo_workloads::runner::{run, RunRequest};
+/// use axmemo_workloads::{benchmark_by_name, Scale};
+///
+/// let bench = benchmark_by_name("blackscholes").unwrap();
+/// let memo = MemoConfig::l1_only(4 * 1024);
+/// let exact = RunRequest {
+///     zero_trunc: true,
+///     ..RunRequest::new(bench.as_ref(), Scale::Tiny, &memo)
+/// };
+/// let report = run(&exact, &mut Telemetry::off()).unwrap();
+/// assert_eq!(report.attempts, 1);
+/// assert!(report.result.speedup > 0.0);
+/// ```
+#[derive(Debug, Clone)]
+pub struct RunRequest<'a> {
+    /// The benchmark to run.
+    pub bench: &'a dyn Benchmark,
+    /// Problem size.
+    pub scale: Scale,
+    /// Input set (default [`Dataset::Eval`]).
+    pub dataset: Dataset,
+    /// LUT configuration of the memoized leg (the data width is
+    /// overridden by the benchmark's requirement).
+    pub memo: &'a MemoConfig,
+    /// Execution tier for both legs (default [`DispatchTier::Threaded`]).
+    /// The tiers are bit-identical (pinned by the equivalence and
+    /// differential tests); `Legacy` is the executable spec.
+    pub dispatch: DispatchTier,
+    /// Disable input truncation (exact memoization) for the Fig. 11
+    /// approximation-effectiveness comparison.
+    pub zero_trunc: bool,
+    /// Simulated-cycle ceiling: bounds the baseline leg and caps the
+    /// memoized leg's watchdog (see [`memo_watchdog`]). Default
+    /// `u64::MAX`.
+    pub max_cycles: u64,
+    /// Shared baselines and compiled programs; `None` simulates the
+    /// baseline inside this call (the `--no-baseline-cache` path, with
+    /// identical results).
+    pub cache: Option<&'a BaselineCache>,
+    /// Warm-start / end-of-run snapshot plan (default empty).
+    pub snapshot: SnapshotPlan,
+}
+
+impl<'a> RunRequest<'a> {
+    /// `bench` at `scale` under `memo`, with every switch at its default.
+    pub fn new(bench: &'a dyn Benchmark, scale: Scale, memo: &'a MemoConfig) -> Self {
+        Self {
+            bench,
+            scale,
+            dataset: Dataset::Eval,
+            memo,
+            dispatch: DispatchTier::default(),
+            zero_trunc: false,
+            max_cycles: u64::MAX,
+            cache: None,
+            snapshot: SnapshotPlan::default(),
+        }
     }
 }
 
@@ -248,182 +300,14 @@ impl PreparedProgram {
     }
 }
 
-/// Run `bench` on `scale`/`dataset`, baseline vs. memoized with `memo`
-/// LUT configuration (data width is overridden by the benchmark's
-/// requirement).
-///
-/// # Errors
-///
-/// Propagates simulator faults and codegen failures as a boxed error.
-pub fn run_benchmark(
-    bench: &dyn Benchmark,
-    scale: Scale,
-    dataset: Dataset,
-    memo: &MemoConfig,
-) -> Result<BenchmarkResult, Box<dyn std::error::Error>> {
-    run_benchmark_opts(bench, scale, dataset, memo, RunOptions::default())
-}
-
-/// Like [`run_benchmark`], with [`RunOptions`] switches (exact
-/// memoization for Fig. 11, legacy-interpreter escape hatch).
-///
-/// # Errors
-///
-/// Propagates simulator faults and codegen failures as a boxed error.
-pub fn run_benchmark_opts(
-    bench: &dyn Benchmark,
-    scale: Scale,
-    dataset: Dataset,
-    memo: &MemoConfig,
-    opts: RunOptions,
-) -> Result<BenchmarkResult, Box<dyn std::error::Error>> {
-    run_benchmark_report(bench, scale, dataset, memo, opts, Telemetry::off())
-        .map(|report| report.result)
-}
-
-/// Like [`run_benchmark_opts`], with a telemetry handle threaded
-/// through the memoized run. The whole run executes under a
-/// `run:<name>` span; every LUT probe, quality decision, and
-/// per-run counter flows into `tel`'s registry and sinks, and the
-/// handle comes back inside the [`RunReport`]. Pass
-/// [`Telemetry::off()`] for a zero-cost run.
-///
-/// # Errors
-///
-/// Propagates simulator faults and codegen failures as a boxed error
-/// (the telemetry handle is dropped on the error path).
-pub fn run_benchmark_report(
-    bench: &dyn Benchmark,
-    scale: Scale,
-    dataset: Dataset,
-    memo: &MemoConfig,
-    opts: RunOptions,
-    mut tel: Telemetry,
-) -> Result<RunReport, Box<dyn std::error::Error>> {
-    let mut report = run_benchmark_inner(
-        bench,
-        scale,
-        dataset,
-        memo,
-        opts,
-        &mut tel,
-        u64::MAX,
-        None,
-        None,
-        None,
-    )?;
-    report.telemetry = tel;
-    Ok(report)
-}
-
-/// Like [`run_benchmark_report`], reusing a [`BaselineCache`] so the
-/// fault-free baseline run (which depends only on the benchmark, scale
-/// and dataset — never on the memoization or fault configuration) is
-/// simulated once per distinct key instead of once per call. Passing
-/// `None` reproduces [`run_benchmark_report`] exactly; the cached path
-/// is byte-identical because the baseline simulation is deterministic.
-///
-/// # Errors
-///
-/// Propagates simulator faults and codegen failures as a boxed error,
-/// including a cached [`BaselineFailure`] when the shared baseline run
-/// itself failed.
-pub fn run_benchmark_report_cached(
-    bench: &dyn Benchmark,
-    scale: Scale,
-    dataset: Dataset,
-    memo: &MemoConfig,
-    opts: RunOptions,
-    mut tel: Telemetry,
-    cache: Option<&BaselineCache>,
-) -> Result<RunReport, Box<dyn std::error::Error>> {
-    let (baseline, prepared) = match cache {
-        Some(cache) => {
-            let prepared = cache.prepared_for(bench, scale, opts);
-            let baseline = cache.get_or_compute(bench, scale, dataset, u64::MAX, opts.dispatch)?;
-            (Some(baseline), prepared)
-        }
-        None => (None, None),
-    };
-    let mut report = run_benchmark_inner(
-        bench,
-        scale,
-        dataset,
-        memo,
-        opts,
-        &mut tel,
-        u64::MAX,
-        baseline.as_deref(),
-        prepared.as_deref(),
-        None,
-    )?;
-    report.telemetry = tel;
-    Ok(report)
-}
-
-/// Like [`run_benchmark_report_cached`], with a [`SnapshotPlan`]: the
-/// memoization unit is warm-started from `plan.restore_from` (if set)
-/// before the run and its end-of-run warm image is written atomically
-/// to `plan.snapshot_out` (if set). An empty plan reproduces
-/// [`run_benchmark_report_cached`] byte-for-byte.
-///
-/// Warm-started runs use restore-keyed [`BaselineCache`] slots
-/// (`warm = true`), so their baselines and compiled programs never mix
-/// with cold cells sharing the same cache.
-///
-/// # Errors
-///
-/// Propagates simulator faults, codegen failures, cached
-/// [`BaselineFailure`]s, and snapshot *I/O* failures
-/// ([`axmemo_core::snapshot::SnapshotError`], which names the offending
-/// path) as a boxed error. A corrupt or torn snapshot file is **not**
-/// an error: recovery degrades to a cold start recorded in
-/// [`RunReport::recovery`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_benchmark_report_snap(
-    bench: &dyn Benchmark,
-    scale: Scale,
-    dataset: Dataset,
-    memo: &MemoConfig,
-    opts: RunOptions,
-    mut tel: Telemetry,
-    cache: Option<&BaselineCache>,
-    plan: &SnapshotPlan,
-) -> Result<RunReport, Box<dyn std::error::Error>> {
-    let warm = plan.warm();
-    let (baseline, prepared) = match cache {
-        Some(cache) => {
-            let prepared = cache.prepared_for_keyed(bench, scale, opts, warm);
-            let baseline =
-                cache.get_or_compute_keyed(bench, scale, dataset, u64::MAX, opts.dispatch, warm)?;
-            (Some(baseline), prepared)
-        }
-        None => (None, None),
-    };
-    let mut report = run_benchmark_inner(
-        bench,
-        scale,
-        dataset,
-        memo,
-        opts,
-        &mut tel,
-        u64::MAX,
-        baseline.as_deref(),
-        prepared.as_deref(),
-        Some(plan),
-    )?;
-    report.telemetry = tel;
-    Ok(report)
-}
-
 /// The fault-free reference leg of a benchmark run: the baseline
 /// [`RunStats`] every speedup/energy/instruction ratio is normalised
 /// against, plus the exact output vector quality metrics compare to.
 ///
 /// Depends only on `(benchmark, scale, dataset)` — the memoization
-/// configuration (LUT geometry, faults, truncation) never touches the
-/// baseline core — which is what makes it shareable across every cell
-/// of a sweep via [`BaselineCache`].
+/// configuration (LUT geometry, faults, truncation, warm state) never
+/// touches the baseline core — which is what makes it shareable across
+/// every cell of a sweep via [`BaselineCache`].
 #[derive(Debug, Clone)]
 pub struct BaselineRun {
     /// Statistics of the non-memoized baseline run.
@@ -432,63 +316,12 @@ pub struct BaselineRun {
     pub exact: Vec<f64>,
 }
 
-/// Run only the baseline leg of `bench` (no memoization) under a cycle
-/// watchdog and return the shareable [`BaselineRun`]. `dispatch`
-/// selects the interpreter (results are bit-identical across tiers).
-///
-/// # Errors
-///
-/// Propagates simulator failures (including
-/// [`SimError::CycleLimit`] watchdog trips) as a boxed error.
-pub fn run_baseline(
-    bench: &dyn Benchmark,
-    scale: Scale,
-    dataset: Dataset,
-    max_cycles: u64,
-    dispatch: DispatchTier,
-) -> Result<BaselineRun, Box<dyn std::error::Error>> {
-    let (program, _specs) = bench.program(scale);
-    baseline_leg(bench, &program, scale, dataset, max_cycles, dispatch, None)
-}
-
-/// Baseline leg with an already-built program (shared by the inline
-/// path, which reuses the program it must build anyway for codegen).
-/// When `prepared` carries the shared lowered forms, the simulator
-/// skips its internal decode/lowering for the non-legacy tiers;
-/// otherwise `dispatch` decides which interpreter [`Simulator::run`]
-/// dispatches to internally.
-fn baseline_leg(
-    bench: &dyn Benchmark,
-    program: &Program,
-    scale: Scale,
-    dataset: Dataset,
-    max_cycles: u64,
-    dispatch: DispatchTier,
-    prepared: Option<&PreparedProgram>,
-) -> Result<BaselineRun, Box<dyn std::error::Error>> {
-    let mut base_sim = Simulator::new(SimConfig {
-        max_cycles,
-        dispatch,
-        ..SimConfig::baseline()
-    })?;
-    let mut base_machine = bench.setup(scale, dataset);
-    base_sim.reset();
-    let stats = match (prepared, dispatch) {
-        (Some(p), DispatchTier::Threaded) => {
-            base_sim.run_prepared_threaded(&p.threaded_base, &mut base_machine)?
-        }
-        _ => base_sim.run(program, &mut base_machine)?,
-    };
-    let exact = bench.outputs(&base_machine, scale);
-    Ok(BaselineRun { stats, exact })
-}
-
 /// Why a shared baseline run failed, in a cloneable form every cell
 /// waiting on the same cache slot can receive.
 #[derive(Debug, Clone)]
 pub struct BaselineFailure {
     /// Failure class (watchdog trip, panic, or ordinary error) —
-    /// classified exactly as an inline attempt would classify it.
+    /// classified exactly as a memoized attempt would classify it.
     pub kind: FailureKind,
     /// Human-readable message (panic payload or error display).
     pub message: String,
@@ -502,7 +335,7 @@ impl std::fmt::Display for BaselineFailure {
 
 impl std::error::Error for BaselineFailure {}
 
-/// Classify a boxed run error the same way [`run_budgeted`] does.
+/// Classify a boxed run error: watchdog trip or ordinary error.
 fn classify_error(e: &(dyn std::error::Error + 'static)) -> FailureKind {
     match e.downcast_ref::<SimError>() {
         Some(SimError::CycleLimit { .. }) => FailureKind::Watchdog,
@@ -510,10 +343,31 @@ fn classify_error(e: &(dyn std::error::Error + 'static)) -> FailureKind {
     }
 }
 
+/// The memoized leg's watchdog is this many times the measured baseline
+/// cycles: a memoized run `WATCHDOG_MARGIN`× slower than its own
+/// baseline is pathological whatever the benchmark's absolute cost.
+pub const WATCHDOG_MARGIN: u64 = 8;
+
+/// Lower bound on the memoized leg's watchdog, so tiny baselines leave
+/// headroom for fixed memoization overheads.
+pub const WATCHDOG_FLOOR_CYCLES: u64 = 1_000_000;
+
+/// The memoized leg's cycle watchdog for a benchmark whose baseline
+/// measured `baseline_cycles`: `min(max(WATCHDOG_MARGIN × baseline,
+/// WATCHDOG_FLOOR_CYCLES), max_cycles)`, saturating. The same rule
+/// applies whether the baseline came from a [`BaselineCache`] or was
+/// simulated inline, so both paths fail (and succeed) identically.
+pub fn memo_watchdog(baseline_cycles: u64, max_cycles: u64) -> u64 {
+    WATCHDOG_MARGIN
+        .saturating_mul(baseline_cycles)
+        .max(WATCHDOG_FLOOR_CYCLES)
+        .min(max_cycles)
+}
+
 type BaselineSlot = Arc<OnceLock<Result<Arc<BaselineRun>, BaselineFailure>>>;
 type PreparedSlot = Arc<OnceLock<Option<Arc<PreparedProgram>>>>;
-/// Baseline slot key: `(benchmark, scale, dataset, dispatch, warm)`.
-type BaselineKey = (String, Scale, Dataset, DispatchTier, bool);
+/// Baseline slot key: `(benchmark, scale, dataset, dispatch)`.
+type BaselineKey = (String, Scale, Dataset, DispatchTier);
 
 /// Thread-safe once-per-key map of shared baseline runs, keyed by
 /// `(benchmark, scale, dataset, dispatch)`.
@@ -537,18 +391,13 @@ type BaselineKey = (String, Scale, Dataset, DispatchTier, bool);
 /// so the cache holds one [`PreparedProgram`] per `(benchmark, scale)`
 /// and every threaded-tier run executes it via
 /// [`Simulator::run_prepared_threaded`] instead of recompiling per
-/// attempt.
-///
-/// Both maps carry a `warm` flag in their keys: a cell warm-started
-/// from a snapshot ([`SnapshotPlan::warm`]) keys separate slots, so a
-/// restore can never poison the shared baselines or compiled programs
-/// that cold cells normalise against (today the baseline core never
-/// sees the restored LUT, but the key keeps that an invariant of the
-/// cache rather than a property callers must re-verify).
+/// attempt. Warm-started cells share both maps with cold ones: the
+/// baseline core has no memoization unit and a [`PreparedProgram`] is
+/// immutable, so a restore can reach neither.
 #[derive(Debug, Default)]
 pub struct BaselineCache {
     slots: Mutex<HashMap<BaselineKey, BaselineSlot>>,
-    programs: Mutex<HashMap<(String, Scale, bool), PreparedSlot>>,
+    programs: Mutex<HashMap<(String, Scale), PreparedSlot>>,
     computed: AtomicU64,
     reused: AtomicU64,
     programs_compiled: AtomicU64,
@@ -582,33 +431,7 @@ impl BaselineCache {
         max_cycles: u64,
         dispatch: DispatchTier,
     ) -> Result<Arc<BaselineRun>, BaselineFailure> {
-        self.get_or_compute_keyed(bench, scale, dataset, max_cycles, dispatch, false)
-    }
-
-    /// [`Self::get_or_compute`] with the warm-start flag in the key:
-    /// cells restoring from a snapshot get their own slots (see the
-    /// type-level docs).
-    ///
-    /// # Errors
-    ///
-    /// Returns the (possibly cached) [`BaselineFailure`] when the
-    /// baseline simulation failed.
-    pub fn get_or_compute_keyed(
-        &self,
-        bench: &dyn Benchmark,
-        scale: Scale,
-        dataset: Dataset,
-        max_cycles: u64,
-        dispatch: DispatchTier,
-        warm: bool,
-    ) -> Result<Arc<BaselineRun>, BaselineFailure> {
-        let key = (
-            bench.meta().name.to_string(),
-            scale,
-            dataset,
-            dispatch,
-            warm,
-        );
+        let key = (bench.meta().name.to_string(), scale, dataset, dispatch);
         let slot = {
             let mut slots = self.slots.lock().expect("baseline cache poisoned");
             Arc::clone(slots.entry(key).or_default())
@@ -619,35 +442,19 @@ impl BaselineCache {
             // Fast-path baselines reuse the shared compiled program
             // when available; a `None` (codegen failed) falls through to
             // the inline path so the error is reproduced and classified.
-            let prepared = if dispatch != DispatchTier::Legacy {
-                self.prepared_keyed(bench, scale, warm)
-            } else {
-                None
+            let prepared = match dispatch {
+                DispatchTier::Threaded => self.prepared(bench, scale),
+                DispatchTier::Legacy => None,
             };
-            let outcome =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match &prepared {
-                    Some(p) => baseline_leg(
-                        bench,
-                        &p.program,
-                        scale,
-                        dataset,
-                        max_cycles,
-                        dispatch,
-                        Some(&**p),
-                    ),
-                    None => run_baseline(bench, scale, dataset, max_cycles, dispatch),
-                }));
-            match outcome {
-                Ok(Ok(baseline)) => Ok(Arc::new(baseline)),
-                Ok(Err(e)) => Err(BaselineFailure {
-                    kind: classify_error(e.as_ref()),
-                    message: e.to_string(),
-                }),
-                Err(payload) => Err(BaselineFailure {
-                    kind: FailureKind::Panic,
-                    message: panic_message(payload.as_ref()),
-                }),
-            }
+            simulate_baseline(
+                bench,
+                scale,
+                dataset,
+                max_cycles,
+                dispatch,
+                prepared.as_deref(),
+            )
+            .map(Arc::new)
         });
         if fresh {
             self.computed.fetch_add(1, Ordering::Relaxed);
@@ -657,17 +464,12 @@ impl BaselineCache {
         result.clone()
     }
 
-    /// The shared compiled-and-lowered programs for `(bench, scale,
-    /// warm)`, built once per key. Returns `None` when compilation
-    /// failed (by error or panic); callers then fall back to inline
-    /// compilation, which reproduces the failure with full context.
-    fn prepared_keyed(
-        &self,
-        bench: &dyn Benchmark,
-        scale: Scale,
-        warm: bool,
-    ) -> Option<Arc<PreparedProgram>> {
-        let key = (bench.meta().name.to_string(), scale, warm);
+    /// The shared compiled-and-lowered programs for `(bench, scale)`,
+    /// built once per key. Returns `None` when compilation failed (by
+    /// error or panic); callers then fall back to inline compilation,
+    /// which reproduces the failure with full context.
+    fn prepared(&self, bench: &dyn Benchmark, scale: Scale) -> Option<Arc<PreparedProgram>> {
+        let key = (bench.meta().name.to_string(), scale);
         let slot = {
             let mut programs = self.programs.lock().expect("program cache poisoned");
             Arc::clone(programs.entry(key).or_default())
@@ -688,34 +490,6 @@ impl BaselineCache {
             self.programs_reused.fetch_add(1, Ordering::Relaxed);
         }
         result.clone()
-    }
-
-    /// [`Self::prepared_keyed`] (cold key) gated on the options that
-    /// make it usable: a prepared program is compiled with default
-    /// truncation for the threaded tier, so zero-truncation or legacy
-    /// runs get `None` and compile inline.
-    fn prepared_for(
-        &self,
-        bench: &dyn Benchmark,
-        scale: Scale,
-        opts: RunOptions,
-    ) -> Option<Arc<PreparedProgram>> {
-        self.prepared_for_keyed(bench, scale, opts, false)
-    }
-
-    /// [`Self::prepared_for`] with the warm-start flag in the key.
-    fn prepared_for_keyed(
-        &self,
-        bench: &dyn Benchmark,
-        scale: Scale,
-        opts: RunOptions,
-        warm: bool,
-    ) -> Option<Arc<PreparedProgram>> {
-        if opts.dispatch != DispatchTier::Legacy && !opts.zero_trunc {
-            self.prepared_keyed(bench, scale, warm)
-        } else {
-            None
-        }
     }
 
     /// Prepared-program compilations actually performed (one per
@@ -739,14 +513,14 @@ impl BaselineCache {
         self.reused.load(Ordering::Relaxed)
     }
 
-    /// Measured baseline cycles per benchmark, sorted by name — the raw
-    /// column of the derived per-benchmark budget table (failed
-    /// baselines are omitted). See [`DerivedBudget`].
+    /// Measured baseline cycles per benchmark, sorted by name — the
+    /// inputs of the per-benchmark [`memo_watchdog`]s (failed baselines
+    /// are omitted).
     pub fn baseline_cycles(&self) -> Vec<(String, u64)> {
         let slots = self.slots.lock().expect("baseline cache poisoned");
         let mut rows: Vec<(String, u64)> = slots
             .iter()
-            .filter_map(|((name, _, _, _, _), slot)| {
+            .filter_map(|((name, _, _, _), slot)| {
                 let run = slot.get()?.as_ref().ok()?;
                 Some((name.clone(), run.stats.cycles))
             })
@@ -759,46 +533,185 @@ impl BaselineCache {
     }
 }
 
-/// [`run_benchmark_report`] with a simulated-cycle watchdog budget and
-/// an optionally injected pre-computed baseline. When `baseline` is
-/// `Some`, only the memoized leg is simulated (under `max_cycles`); the
-/// baseline leg — which is independent of the memoization config — is
-/// taken from the shared run. When `None`, the baseline leg runs inline
-/// exactly as before. `prepared` optionally supplies the shared
-/// compiled-and-lowered programs; it is only consumed when the
-/// options allow (non-legacy tier, default truncation) — otherwise the
-/// programs are built inline.
-/// The telemetry handle is borrowed so it *survives* the error path:
-/// the sim-side spans and phase frames a failed run leaves open are
-/// drained via [`Telemetry::close_open_spans`] before returning, and
-/// the caller (budgeted retry loops, sweep jobs) keeps its registry,
-/// sinks, and profiler across attempts. The returned [`RunReport`]
-/// carries a disabled placeholder handle; the by-value wrappers move
-/// the real one back in.
-/// `plan` optionally adds snapshot persistence: restore the warm image
-/// before the memoized run, arm the end-of-run capture, and write the
-/// image atomically after the metrics are collected. `None` (and the
-/// empty plan) leave the run byte-identical to the plain path.
-#[allow(clippy::too_many_arguments)]
-fn run_benchmark_inner(
+/// Simulate the baseline leg of `bench` (no memoization) under a
+/// `max_cycles` watchdog. `prepared` supplies the shared lowered program
+/// for the threaded tier; without it the program is built here. Panics
+/// are caught and classified like every other failure.
+fn simulate_baseline(
     bench: &dyn Benchmark,
     scale: Scale,
     dataset: Dataset,
-    memo: &MemoConfig,
-    opts: RunOptions,
-    tel: &mut Telemetry,
     max_cycles: u64,
-    baseline: Option<&BaselineRun>,
+    dispatch: DispatchTier,
     prepared: Option<&PreparedProgram>,
-    plan: Option<&SnapshotPlan>,
+) -> Result<BaselineRun, BaselineFailure> {
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
+        || -> Result<BaselineRun, Box<dyn std::error::Error>> {
+            let mut sim = Simulator::new(SimConfig {
+                max_cycles,
+                dispatch,
+                ..SimConfig::baseline()
+            })?;
+            let mut machine = bench.setup(scale, dataset);
+            sim.reset();
+            let stats = match prepared {
+                Some(p) if dispatch == DispatchTier::Threaded => {
+                    sim.run_prepared_threaded(&p.threaded_base, &mut machine)?
+                }
+                _ => sim.run(&bench.program(scale).0, &mut machine)?,
+            };
+            let exact = bench.outputs(&machine, scale);
+            Ok(BaselineRun { stats, exact })
+        },
+    ));
+    match outcome {
+        Ok(Ok(baseline)) => Ok(baseline),
+        Ok(Err(e)) => Err(BaselineFailure {
+            kind: classify_error(e.as_ref()),
+            message: e.to_string(),
+        }),
+        Err(payload) => Err(BaselineFailure {
+            kind: FailureKind::Panic,
+            message: panic_message(payload.as_ref()),
+        }),
+    }
+}
+
+/// Run one benchmark cell: the baseline leg (from `req.cache` or
+/// simulated here, under `req.max_cycles`) and the memoized leg (under
+/// [`memo_watchdog`]), then the paper metrics.
+///
+/// Every call is supervised, so a sweep survives any one cell:
+///
+/// - Panics are caught and failures classified ([`FailureKind`]).
+/// - When `req.memo` injects faults and the attempt fails, one more
+///   attempt runs with fault injection cleared, isolating "the fault
+///   model broke it" from "the benchmark is broken"
+///   ([`RunReport::faults_cleared`]). Runs are seeded and
+///   deterministic, so a same-configuration retry could only repeat
+///   the failure.
+/// - `tel` survives every attempt. The memoized run executes under a
+///   `run:<name>` span with `tel` installed in the simulator, so LUT
+///   probes, quality decisions and per-run counters land in its
+///   registry and sinks. After a failed attempt the open span and phase
+///   stacks are drained, a handle forfeited to a panic is replaced by
+///   an enabled one (its sinks are lost with the unwound attempt), and
+///   the profile is cleared, so a successful return profiles exactly
+///   one run — whatever the attempt schedule or worker count.
+/// - `req.snapshot` restores the warm image before the memoized run and
+///   writes the end-of-run image after it. A corrupt or torn snapshot
+///   is not an error: it degrades to a cold start recorded in
+///   [`RunReport::recovery`].
+///
+/// # Errors
+///
+/// A [`RunFailure`] naming the last attempt's failure class and
+/// message: watchdog trips, simulator and codegen errors, panics,
+/// (cached) baseline failures and snapshot I/O errors, whose message
+/// names the offending path.
+pub fn run(req: &RunRequest<'_>, tel: &mut Telemetry) -> Result<RunReport, RunFailure> {
+    let baseline = match req.cache {
+        Some(cache) => cache.get_or_compute(
+            req.bench,
+            req.scale,
+            req.dataset,
+            req.max_cycles,
+            req.dispatch,
+        ),
+        None => simulate_baseline(
+            req.bench,
+            req.scale,
+            req.dataset,
+            req.max_cycles,
+            req.dispatch,
+            None,
+        )
+        .map(Arc::new),
+    };
+    // Compiled programs are shared across attempts and, through the
+    // cache, across sibling cells; they carry default truncation and
+    // threaded lowering only.
+    let prepared = req
+        .cache
+        .filter(|_| req.dispatch == DispatchTier::Threaded && !req.zero_trunc)
+        .and_then(|cache| cache.prepared(req.bench, req.scale));
+    let mut outcome = attempt(req, req.memo, &baseline, prepared.as_deref(), tel);
+    let faults_cleared = outcome.is_err() && req.memo.faults != FaultConfig::default();
+    if faults_cleared {
+        let degraded = MemoConfig {
+            faults: FaultConfig::default(),
+            ..req.memo.clone()
+        };
+        outcome = attempt(req, &degraded, &baseline, prepared.as_deref(), tel);
+    }
+    let attempts = 1 + u32::from(faults_cleared);
+    match outcome {
+        Ok(report) => Ok(RunReport {
+            attempts,
+            faults_cleared,
+            ..report
+        }),
+        Err((kind, message)) => Err(RunFailure {
+            benchmark: req.bench.meta().name.to_string(),
+            kind,
+            message,
+            attempts,
+        }),
+    }
+}
+
+/// One supervised attempt of the memoized leg under `memo`; see [`run`]
+/// for the failed-attempt hygiene.
+fn attempt(
+    req: &RunRequest<'_>,
+    memo: &MemoConfig,
+    baseline: &Result<Arc<BaselineRun>, BaselineFailure>,
+    prepared: Option<&PreparedProgram>,
+    tel: &mut Telemetry,
+) -> Result<RunReport, (FailureKind, String)> {
+    // A failed baseline is deterministic: the attempt fails the same way.
+    let baseline = baseline
+        .as_ref()
+        .map_err(|fail| (fail.kind, fail.message.clone()))?;
+    let was_enabled = tel.is_enabled();
+    let was_profiling = tel.profiler().is_enabled();
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        memo_leg(req, memo, baseline, prepared, tel)
+    }));
+    let failure = match outcome {
+        Ok(Ok(report)) => return Ok(report),
+        Ok(Err(e)) => (classify_error(e.as_ref()), e.to_string()),
+        Err(payload) => (FailureKind::Panic, panic_message(payload.as_ref())),
+    };
+    tel.close_open_spans();
+    if was_enabled && !tel.is_enabled() {
+        *tel = Telemetry::enabled();
+    }
+    if was_profiling && !tel.profiler().is_enabled() {
+        tel.profiler_mut().enable();
+    }
+    tel.profiler_mut().clear();
+    Err(failure)
+}
+
+/// The memoized leg against an already-computed baseline, plus the
+/// metrics and the optional snapshot restore/write. Sim-side spans and
+/// phase frames a failed run leaves open are drained before returning.
+fn memo_leg(
+    req: &RunRequest<'_>,
+    memo: &MemoConfig,
+    baseline: &BaselineRun,
+    prepared: Option<&PreparedProgram>,
+    tel: &mut Telemetry,
 ) -> Result<RunReport, Box<dyn std::error::Error>> {
-    let prepared = prepared.filter(|_| opts.dispatch != DispatchTier::Legacy && !opts.zero_trunc);
+    let bench = req.bench;
+    let name = bench.meta().name;
     // Load and recover the warm image first, while the telemetry handle
     // is still in hand (it moves into the simulator below): recovery
     // decisions land in the same registry/sinks as the run itself.
     // Only I/O failures abort; corrupt bytes degrade to a reported cold
     // start.
-    let plan = plan.filter(|p| !p.is_empty());
+    let plan = Some(&req.snapshot).filter(|p| !p.is_empty());
     let mut recovery: Option<RecoveryReport> = None;
     let mut warm_image: Option<MemoSnapshot> = None;
     if let Some(path) = plan.and_then(|p| p.restore_from.as_deref()) {
@@ -807,11 +720,11 @@ fn run_benchmark_inner(
         recovery = Some(report);
     }
     let inline_built;
-    let (program, memo_program): (&Program, &Program) = match prepared {
-        Some(p) => (&p.program, &p.memo_program),
+    let memo_program: &Program = match prepared {
+        Some(p) => &p.memo_program,
         None => {
-            let (program, mut specs) = bench.program(scale);
-            if opts.zero_trunc {
+            let (program, mut specs) = bench.program(req.scale);
+            if req.zero_trunc {
                 for spec in &mut specs {
                     for il in &mut spec.input_loads {
                         il.trunc = 0;
@@ -821,49 +734,28 @@ fn run_benchmark_inner(
                     }
                 }
             }
-            let memo_program = memoize(&program, &specs)?;
-            inline_built = (program, memo_program);
-            (&inline_built.0, &inline_built.1)
+            inline_built = memoize(&program, &specs)?;
+            &inline_built
         }
     };
     let memo_cfg = MemoConfig {
         data_width: bench.data_width(),
         ..memo.clone()
     };
-
-    // Baseline leg: shared run when injected, simulated inline
-    // otherwise.
-    let inline_baseline;
-    let baseline = match baseline {
-        Some(shared) => shared,
-        None => {
-            inline_baseline = baseline_leg(
-                bench,
-                program,
-                scale,
-                dataset,
-                max_cycles,
-                opts.dispatch,
-                prepared,
-            )?;
-            &inline_baseline
-        }
-    };
     let base_stats = &baseline.stats;
-    let exact = &baseline.exact;
 
     // Memoized run, under a `run:<name>` span with the telemetry
     // handle installed in the simulator (it reaches the memoization
     // unit and the LUT hierarchy from there).
     let mut memo_sim = Simulator::new(SimConfig {
-        max_cycles,
-        dispatch: opts.dispatch,
+        max_cycles: memo_watchdog(base_stats.cycles, req.max_cycles),
+        dispatch: req.dispatch,
         ..SimConfig::with_memo(memo_cfg.clone())
     })?;
-    let mut memo_machine = bench.setup(scale, dataset);
+    let mut memo_machine = bench.setup(req.scale, req.dataset);
     tel.set_cycle(0);
-    tel.span_enter(&format!("run:{}", bench.meta().name));
-    tel.profiler_mut().set_label(bench.meta().name);
+    tel.span_enter(&format!("run:{name}"));
+    tel.profiler_mut().set_label(name);
     tel.profiler_mut().enter(PhaseId::Run);
     memo_sim.set_telemetry(std::mem::take(tel));
     memo_sim.reset();
@@ -884,11 +776,9 @@ fn run_benchmark_inner(
             }
         }
     }
-    let memo_stats = match (prepared, opts.dispatch) {
-        (Some(p), DispatchTier::Threaded) => {
-            memo_sim.run_prepared_threaded(&p.threaded_memo, &mut memo_machine)
-        }
-        _ => memo_sim.run(memo_program, &mut memo_machine),
+    let memo_stats = match prepared {
+        Some(p) => memo_sim.run_prepared_threaded(&p.threaded_memo, &mut memo_machine),
+        None => memo_sim.run(memo_program, &mut memo_machine),
     };
     *tel = memo_sim.take_telemetry();
     let memo_stats = match memo_stats {
@@ -906,7 +796,7 @@ fn run_benchmark_inner(
     tel.span_exit();
     tel.profiler_mut().exit_cycles(memo_stats.cycles);
     tel.flush();
-    let approx = bench.outputs(&memo_machine, scale);
+    let approx = bench.outputs(&memo_machine, req.scale);
 
     // Metrics.
     let energy_model = EnergyModel::for_l1_lut(memo_cfg.l1_bytes);
@@ -916,10 +806,10 @@ fn run_benchmark_inner(
         .memo_unit()
         .map(|u| u.lut().total_hit_rate())
         .unwrap_or(0.0);
-    let error = compute_error(bench.meta().metric, exact, &approx);
+    let error = compute_error(bench.meta().metric, &baseline.exact, &approx);
 
     let result = BenchmarkResult {
-        name: bench.meta().name.to_string(),
+        name: name.to_string(),
         config: format!("{memo:?}"),
         speedup: base_stats.cycles as f64 / memo_stats.cycles.max(1) as f64,
         energy_reduction: base_energy / memo_energy.max(f64::MIN_POSITIVE),
@@ -938,6 +828,11 @@ fn run_benchmark_inner(
     // describes a run that completed (a failed run returns above and
     // leaves any prior snapshot file untouched).
     if let Some(path) = plan.and_then(|p| p.snapshot_out.as_deref()) {
+        if let Some(dir) = path.parent() {
+            std::fs::create_dir_all(dir).map_err(|e| {
+                std::io::Error::new(e.kind(), format!("snapshot dir {}: {e}", dir.display()))
+            })?;
+        }
         let image = memo_sim
             .memo_unit_mut()
             .and_then(|u| u.take_warm_image())
@@ -949,8 +844,9 @@ fn run_benchmark_inner(
         unit_stats,
         l1_lut,
         l2_lut,
-        telemetry: Telemetry::off(),
         recovery,
+        attempts: 1,
+        faults_cleared: false,
     })
 }
 
@@ -969,7 +865,7 @@ pub enum FailureKind {
     Error,
 }
 
-/// Structured failure from [`run_supervised`] / [`run_budgeted`].
+/// Structured failure from [`run`].
 #[derive(Debug, Clone)]
 pub struct RunFailure {
     /// Benchmark that failed.
@@ -978,439 +874,25 @@ pub struct RunFailure {
     pub kind: FailureKind,
     /// Human-readable message (panic payload or error display).
     pub message: String,
-    /// Whether a degraded-config retry was attempted before giving up.
-    pub retried: bool,
-    /// Total attempts made (same-config retries plus the optional
-    /// faults-off attempt).
+    /// Attempts made (2 when the faults-off retry ran).
     pub attempts: u32,
-    /// The wall-clock cap expired before every budgeted attempt could
-    /// run; the failure describes the last attempt that did.
-    pub wall_clock_exhausted: bool,
 }
 
 impl std::fmt::Display for RunFailure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{} failed ({:?}, {} attempt{}{}): {}",
+            "{} failed ({:?}, {} attempt{}): {}",
             self.benchmark,
             self.kind,
             self.attempts,
             if self.attempts == 1 { "" } else { "s" },
-            if self.wall_clock_exhausted {
-                ", wall-clock budget exhausted"
-            } else {
-                ""
-            },
             self.message
         )
     }
 }
 
 impl std::error::Error for RunFailure {}
-
-/// Per-job budget for [`run_budgeted`]: a simulated-cycle watchdog, an
-/// optional wall-clock cap, and a bounded retry schedule with
-/// exponential backoff. This generalizes [`SupervisorConfig`]'s one-shot
-/// faults-off retry for long-running sweep/service harnesses where a
-/// transient failure (fault storm, watchdog trip under a pathological
-/// seed) should be retried a bounded number of times, with growing
-/// pauses so a sweep full of failing jobs does not spin.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BudgetPolicy {
-    /// Watchdog *ceiling* in simulated cycles. Without a shared
-    /// baseline this uniform value is applied to the baseline and
-    /// memoized runs individually (the pre-cache behaviour); with one,
-    /// it bounds the baseline run and caps the per-benchmark watchdog
-    /// derived by [`BudgetPolicy::derived`].
-    pub max_cycles: u64,
-    /// Per-benchmark watchdog derivation from the shared baseline's
-    /// measured cycles (see [`DerivedBudget`]). Only takes effect when
-    /// a [`BaselineCache`] supplies a baseline — a uniform ceiling
-    /// cannot be tight across benchmarks whose costs differ by ~30×
-    /// (jpeg vs. blackscholes), but `margin × measured baseline` can.
-    /// `None` keeps the uniform `max_cycles` watchdog everywhere.
-    pub derived: Option<DerivedBudget>,
-    /// Wall-clock cap for all attempts of one job, in milliseconds.
-    /// `None` means uncapped. The cap is checked *between* attempts: a
-    /// running attempt is never interrupted (results stay deterministic),
-    /// but no further retry starts once the cap has expired.
-    pub wall_clock_cap_ms: Option<u64>,
-    /// Maximum same-configuration attempts (≥ 1).
-    pub max_attempts: u32,
-    /// Pause before the first same-configuration retry, in milliseconds.
-    /// Zero disables sleeping (the retries still happen).
-    pub backoff_base_ms: u64,
-    /// Multiplier applied to the pause after every retry.
-    pub backoff_factor: u32,
-    /// Ceiling on a single backoff pause, in milliseconds.
-    pub backoff_cap_ms: u64,
-    /// After every same-configuration attempt failed under a
-    /// fault-injecting configuration, make one final attempt with all
-    /// fault injection cleared (isolating "the fault model broke it"
-    /// from "the benchmark is broken").
-    pub retry_without_faults: bool,
-}
-
-impl Default for BudgetPolicy {
-    fn default() -> Self {
-        Self {
-            max_cycles: u64::MAX,
-            derived: Some(DerivedBudget::default()),
-            wall_clock_cap_ms: None,
-            max_attempts: 1,
-            backoff_base_ms: 25,
-            backoff_factor: 2,
-            backoff_cap_ms: 1_000,
-            retry_without_faults: true,
-        }
-    }
-}
-
-/// Per-benchmark watchdog derivation: once a sweep's [`BaselineCache`]
-/// has measured a benchmark's fault-free baseline cycles, the memoized
-/// legs of every sibling cell run under `margin × baseline` cycles
-/// (with a floor for very small runs) instead of one uniform sweep-wide
-/// ceiling. A memoized run that is `margin`× slower than its own
-/// baseline is pathological regardless of the benchmark's absolute
-/// cost, so `full`-scale sweeps get tight watchdogs without false trips
-/// on the expensive kernels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DerivedBudget {
-    /// Watchdog = `margin × measured baseline cycles` …
-    pub margin: u64,
-    /// … but never below this floor (tiny baselines leave no headroom
-    /// for fixed memoization overheads otherwise).
-    pub floor_cycles: u64,
-}
-
-impl Default for DerivedBudget {
-    fn default() -> Self {
-        Self {
-            margin: 8,
-            floor_cycles: 1_000_000,
-        }
-    }
-}
-
-impl DerivedBudget {
-    /// The derived watchdog for a benchmark whose baseline measured
-    /// `baseline_cycles`, clamped to the policy-wide `ceiling`
-    /// ([`BudgetPolicy::max_cycles`]).
-    pub fn watchdog(&self, baseline_cycles: u64, ceiling: u64) -> u64 {
-        self.margin
-            .saturating_mul(baseline_cycles)
-            .max(self.floor_cycles)
-            .min(ceiling)
-    }
-}
-
-impl BudgetPolicy {
-    /// Backoff pause in milliseconds before retry number `retry` (the
-    /// first retry is `retry = 0`): `base * factor^retry`, saturating,
-    /// clamped to [`Self::backoff_cap_ms`].
-    pub fn backoff_ms(&self, retry: u32) -> u64 {
-        let factor = u64::from(self.backoff_factor.max(1)).saturating_pow(retry);
-        self.backoff_base_ms
-            .saturating_mul(factor)
-            .min(self.backoff_cap_ms)
-    }
-
-    /// The full pause schedule for this policy: one entry per possible
-    /// same-configuration retry (`max_attempts - 1` entries).
-    pub fn backoff_schedule(&self) -> Vec<u64> {
-        (0..self.max_attempts.saturating_sub(1))
-            .map(|r| self.backoff_ms(r))
-            .collect()
-    }
-}
-
-/// Successful outcome of [`run_budgeted`], annotated with what the
-/// budget machinery had to do to get it.
-#[derive(Debug, Clone)]
-pub struct SupervisedRun {
-    /// The paper metrics of the successful attempt.
-    pub result: BenchmarkResult,
-    /// Attempts made, including the successful one.
-    pub attempts: u32,
-    /// The successful attempt ran with fault injection cleared (every
-    /// attempt with the requested fault configuration failed).
-    pub faults_cleared: bool,
-}
-
-/// Supervised, budgeted variant of [`run_benchmark`] for sweep
-/// orchestration: panics are caught, a watchdog bounds simulated cycles,
-/// failed attempts are retried up to [`BudgetPolicy::max_attempts`]
-/// times with exponential backoff, an optional wall-clock cap stops the
-/// retry loop, and a final faults-off attempt isolates fault-model
-/// breakage. See [`run_supervised`] for the one-shot policy it
-/// generalizes.
-///
-/// # Errors
-///
-/// Returns a [`RunFailure`] describing the final failed attempt, with
-/// the attempt count and whether the wall-clock budget expired.
-pub fn run_budgeted(
-    bench: &dyn Benchmark,
-    scale: Scale,
-    dataset: Dataset,
-    memo: &MemoConfig,
-    policy: &BudgetPolicy,
-) -> Result<SupervisedRun, RunFailure> {
-    run_budgeted_cached(
-        bench,
-        scale,
-        dataset,
-        memo,
-        policy,
-        None,
-        RunOptions::default(),
-    )
-}
-
-/// [`run_budgeted`] with an optional shared [`BaselineCache`].
-///
-/// With a cache, the fault-free baseline leg is fetched from it —
-/// simulated once per distinct `(benchmark, scale, dataset)` across the
-/// whole sweep, under the policy's `max_cycles` ceiling — and only the
-/// memoized leg runs per attempt, under the per-benchmark watchdog of
-/// [`BudgetPolicy::derived`] (when set) instead of the uniform ceiling.
-/// A cached baseline *failure* short-circuits every attempt with the
-/// identical failure an inline re-run would deterministically produce,
-/// so the retry/wall-clock accounting matches the uncached path without
-/// re-simulating a run that cannot succeed.
-///
-/// Without a cache this is exactly [`run_budgeted`]: baseline and
-/// memoized legs both run inline under the uniform `max_cycles`.
-///
-/// # Errors
-///
-/// Returns a [`RunFailure`] describing the final failed attempt, with
-/// the attempt count and whether the wall-clock budget expired.
-pub fn run_budgeted_cached(
-    bench: &dyn Benchmark,
-    scale: Scale,
-    dataset: Dataset,
-    memo: &MemoConfig,
-    policy: &BudgetPolicy,
-    cache: Option<&BaselineCache>,
-    opts: RunOptions,
-) -> Result<SupervisedRun, RunFailure> {
-    let mut tel = Telemetry::off();
-    run_budgeted_cached_tel(bench, scale, dataset, memo, policy, cache, opts, &mut tel)
-}
-
-/// [`run_budgeted_cached`] with a caller-owned telemetry handle that
-/// survives every attempt — panics and watchdog trips included. This is
-/// the sweep-orchestration entry point for profiling: install an
-/// enabled profiler on `tel` (typically on an otherwise-disabled handle
-/// so event streams stay byte-identical) and read
-/// [`Telemetry::take_profile`] after a successful return.
-///
-/// Recovery semantics:
-///
-/// - After any failed attempt the span and phase stacks are drained
-///   ([`Telemetry::close_open_spans`]), so a panicking benchmark
-///   followed by a healthy one yields a balanced span tree.
-/// - If a panic fires while the handle is installed in the simulator,
-///   the handle itself is forfeited with the unwound stack; an enabled
-///   replacement is restored (accumulated sinks are lost — they
-///   unwound with the attempt) and the profiler is re-enabled.
-/// - Profile data from failed attempts is discarded
-///   ([`axmemo_telemetry::Profiler::clear`]), so the profile of a
-///   successful return describes exactly one successful run — making
-///   aggregated sweep profiles independent of the attempt schedule and
-///   therefore of worker count and wall-clock caps.
-///
-/// # Errors
-///
-/// Returns a [`RunFailure`] describing the final failed attempt, with
-/// the attempt count and whether the wall-clock budget expired.
-#[allow(clippy::too_many_arguments)]
-pub fn run_budgeted_cached_tel(
-    bench: &dyn Benchmark,
-    scale: Scale,
-    dataset: Dataset,
-    memo: &MemoConfig,
-    policy: &BudgetPolicy,
-    cache: Option<&BaselineCache>,
-    opts: RunOptions,
-    tel: &mut Telemetry,
-) -> Result<SupervisedRun, RunFailure> {
-    let name = bench.meta().name.to_string();
-    let was_enabled = tel.is_enabled();
-    let was_profiling = tel.profiler().is_enabled();
-    let started = std::time::Instant::now();
-    let baseline =
-        cache.map(|c| c.get_or_compute(bench, scale, dataset, policy.max_cycles, opts.dispatch));
-    // Compiled programs are shared across attempts (and across sibling
-    // cells through the cache); the attempt loop then only re-simulates.
-    let prepared = cache.and_then(|c| c.prepared_for(bench, scale, opts));
-    // With a shared baseline in hand, the memoized leg runs under the
-    // tight per-benchmark watchdog; otherwise the uniform ceiling
-    // bounds both legs (pre-cache behaviour, bit-for-bit).
-    let memo_max_cycles = match (&baseline, policy.derived) {
-        (Some(Ok(run)), Some(derived)) => derived.watchdog(run.stats.cycles, policy.max_cycles),
-        _ => policy.max_cycles,
-    };
-    let wall_exhausted = |attempts_left: bool| -> bool {
-        attempts_left
-            && policy
-                .wall_clock_cap_ms
-                .is_some_and(|cap| started.elapsed().as_millis() as u64 >= cap)
-    };
-    let attempt =
-        |cfg: &MemoConfig, tel: &mut Telemetry| -> Result<BenchmarkResult, (FailureKind, String)> {
-            let shared = match &baseline {
-                Some(Ok(run)) => Some(run.as_ref()),
-                // The deterministic baseline failed once; every inline
-                // retry would reproduce it exactly.
-                Some(Err(fail)) => return Err((fail.kind, fail.message.clone())),
-                None => None,
-            };
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_benchmark_inner(
-                    bench,
-                    scale,
-                    dataset,
-                    cfg,
-                    opts,
-                    tel,
-                    memo_max_cycles,
-                    shared,
-                    prepared.as_deref(),
-                    None,
-                )
-                .map(|report| report.result)
-            }));
-            let failure = match outcome {
-                Ok(Ok(result)) => return Ok(result),
-                Ok(Err(e)) => (classify_error(e.as_ref()), e.to_string()),
-                Err(payload) => (FailureKind::Panic, panic_message(payload.as_ref())),
-            };
-            // Failed-attempt hygiene: drain whatever the abandoned run
-            // left open, restore the handle if the panic forfeited it
-            // mid-simulation, and drop the attempt's profile data so a
-            // later success profiles exactly one run.
-            tel.close_open_spans();
-            if was_enabled && !tel.is_enabled() {
-                *tel = Telemetry::enabled();
-            }
-            if was_profiling && !tel.profiler().is_enabled() {
-                tel.profiler_mut().enable();
-            }
-            tel.profiler_mut().clear();
-            Err(failure)
-        };
-
-    let max_attempts = policy.max_attempts.max(1);
-    let mut attempts = 0u32;
-    let mut last_failure = None;
-    let mut exhausted = false;
-    for retry in 0..max_attempts {
-        if retry > 0 {
-            if wall_exhausted(true) {
-                exhausted = true;
-                break;
-            }
-            let pause = policy.backoff_ms(retry - 1);
-            if pause > 0 {
-                std::thread::sleep(std::time::Duration::from_millis(pause));
-            }
-        }
-        attempts += 1;
-        match attempt(memo, tel) {
-            Ok(result) => {
-                return Ok(SupervisedRun {
-                    result,
-                    attempts,
-                    faults_cleared: false,
-                })
-            }
-            Err(failure) => last_failure = Some(failure),
-        }
-    }
-
-    let faults_active = memo.faults != axmemo_core::faults::FaultConfig::default();
-    if policy.retry_without_faults && faults_active && !wall_exhausted(true) {
-        let degraded = MemoConfig {
-            faults: axmemo_core::faults::FaultConfig::default(),
-            ..memo.clone()
-        };
-        attempts += 1;
-        match attempt(&degraded, tel) {
-            Ok(result) => {
-                return Ok(SupervisedRun {
-                    result,
-                    attempts,
-                    faults_cleared: true,
-                });
-            }
-            Err(failure) => last_failure = Some(failure),
-        }
-    }
-
-    let (kind, message) = last_failure.expect("at least one attempt ran");
-    Err(RunFailure {
-        benchmark: name,
-        kind,
-        message,
-        retried: attempts > 1,
-        attempts,
-        wall_clock_exhausted: exhausted,
-    })
-}
-
-/// Supervision policy for [`run_supervised`].
-#[derive(Debug, Clone, Copy)]
-pub struct SupervisorConfig {
-    /// Watchdog budget in simulated cycles, applied to the baseline and
-    /// memoized runs individually.
-    pub max_cycles: u64,
-    /// When the first attempt fails under a fault-injecting
-    /// configuration, retry once with all fault injection cleared
-    /// before reporting failure.
-    pub retry_without_faults: bool,
-}
-
-impl Default for SupervisorConfig {
-    fn default() -> Self {
-        Self {
-            max_cycles: u64::MAX,
-            retry_without_faults: true,
-        }
-    }
-}
-
-/// Supervised variant of [`run_benchmark`] for sweeps that must survive
-/// individual benchmark failures: panics are caught and converted into
-/// [`RunFailure`]s, a watchdog bounds simulated cycles, and a failing
-/// fault-injected run is retried once with faults cleared (isolating
-/// "the fault model broke it" from "the benchmark is broken").
-///
-/// This is the one-shot special case of [`run_budgeted`] (one attempt,
-/// no backoff, no wall-clock cap), kept for callers that do not need a
-/// retry budget.
-///
-/// # Errors
-///
-/// Returns a [`RunFailure`] describing the final failed attempt.
-pub fn run_supervised(
-    bench: &dyn Benchmark,
-    scale: Scale,
-    dataset: Dataset,
-    memo: &MemoConfig,
-    sup: &SupervisorConfig,
-) -> Result<BenchmarkResult, RunFailure> {
-    let policy = BudgetPolicy {
-        max_cycles: sup.max_cycles,
-        max_attempts: 1,
-        backoff_base_ms: 0,
-        retry_without_faults: sup.retry_without_faults,
-        ..BudgetPolicy::default()
-    };
-    run_budgeted(bench, scale, dataset, memo, &policy).map(|run| run.result)
-}
 
 /// Best-effort extraction of a panic payload's message.
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -1581,50 +1063,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn supervised_runner_catches_panics() {
-        let fail = run_supervised(
-            &PanickyBench,
-            crate::Scale::Tiny,
-            crate::Dataset::Eval,
-            &MemoConfig::l1_only(4096),
-            &SupervisorConfig::default(),
-        )
-        .unwrap_err();
-        assert_eq!(fail.kind, FailureKind::Panic);
-        assert_eq!(fail.benchmark, "panicky");
-        assert!(fail.message.contains("synthetic benchmark bug"));
-        assert!(!fail.retried);
-    }
-
-    #[test]
-    fn supervised_runner_watchdog_bounds_cycles() {
-        let bench = crate::benchmark_by_name("blackscholes").unwrap();
-        let sup = SupervisorConfig {
-            max_cycles: 1_000, // far below what even Tiny needs
-            ..SupervisorConfig::default()
-        };
-        let fail = run_supervised(
-            bench.as_ref(),
-            crate::Scale::Tiny,
-            crate::Dataset::Eval,
-            &MemoConfig::l1_only(4096),
-            &sup,
-        )
-        .unwrap_err();
-        assert_eq!(fail.kind, FailureKind::Watchdog);
-        assert!(fail.message.contains("cycle limit"), "{}", fail.message);
-        assert!(!fail.retried, "no fault config, so no retry");
-    }
-
-    #[test]
-    fn supervised_runner_retries_without_faults() {
-        use axmemo_core::faults::FaultConfig;
-        // A fault storm: every memory access spikes by 100k cycles, so
-        // the memoized run blows the watchdog budget — but the retry
-        // with faults cleared fits comfortably.
-        let bench = crate::benchmark_by_name("blackscholes").unwrap();
-        let memo = MemoConfig {
+    /// Every memory access spikes by 100k cycles, so the memoized run
+    /// blows any sane watchdog — but the faults-off retry fits.
+    fn fault_storm() -> MemoConfig {
+        MemoConfig {
             faults: FaultConfig {
                 seed: 3,
                 latency_spike_ppm: axmemo_core::faults::PPM,
@@ -1632,57 +1074,75 @@ mod tests {
                 ..FaultConfig::default()
             },
             ..MemoConfig::l1_only(4096)
-        };
-        let sup = SupervisorConfig {
-            max_cycles: 2_000_000,
-            ..SupervisorConfig::default()
-        };
-        let result = run_supervised(
-            bench.as_ref(),
-            crate::Scale::Tiny,
-            crate::Dataset::Eval,
-            &memo,
-            &sup,
-        )
-        .expect("degraded retry must succeed");
-        assert!(result.speedup > 0.0);
-        // With the retry disabled, the same configuration must fail.
-        let sup_no_retry = SupervisorConfig {
-            retry_without_faults: false,
-            ..sup
-        };
-        let fail = run_supervised(
-            bench.as_ref(),
-            crate::Scale::Tiny,
-            crate::Dataset::Eval,
-            &memo,
-            &sup_no_retry,
+        }
+    }
+
+    #[test]
+    fn supervised_runner_catches_panics() {
+        let memo = MemoConfig::l1_only(4096);
+        let fail = run(
+            &RunRequest::new(&PanickyBench, crate::Scale::Tiny, &memo),
+            &mut Telemetry::off(),
         )
         .unwrap_err();
+        assert_eq!(fail.kind, FailureKind::Panic);
+        assert_eq!(fail.benchmark, "panicky");
+        assert!(fail.message.contains("synthetic benchmark bug"));
+        assert_eq!(fail.attempts, 1, "no fault config, so no retry");
+    }
+
+    #[test]
+    fn supervised_runner_watchdog_bounds_cycles() {
+        let bench = crate::benchmark_by_name("blackscholes").unwrap();
+        let memo = MemoConfig::l1_only(4096);
+        let req = RunRequest {
+            max_cycles: 1_000, // far below what even Tiny needs
+            ..RunRequest::new(bench.as_ref(), crate::Scale::Tiny, &memo)
+        };
+        let fail = run(&req, &mut Telemetry::off()).unwrap_err();
         assert_eq!(fail.kind, FailureKind::Watchdog);
+        assert!(fail.message.contains("cycle limit"), "{}", fail.message);
+        assert_eq!(fail.attempts, 1, "no fault config, so no retry");
+    }
+
+    #[test]
+    fn supervised_runner_retries_without_faults() {
+        let bench = crate::benchmark_by_name("blackscholes").unwrap();
+        let memo = fault_storm();
+        let req = RunRequest {
+            max_cycles: 2_000_000,
+            ..RunRequest::new(bench.as_ref(), crate::Scale::Tiny, &memo)
+        };
+        let report = run(&req, &mut Telemetry::off()).expect("degraded retry must succeed");
+        assert!(report.result.speedup > 0.0);
+        // The attempt with the storm failed; only the retry succeeded.
+        assert_eq!(report.attempts, 2);
+        assert!(report.faults_cleared);
+        // A fault-free configuration succeeds first try.
+        let clean = MemoConfig::l1_only(4096);
+        let report = run(
+            &RunRequest {
+                memo: &clean,
+                ..req
+            },
+            &mut Telemetry::off(),
+        )
+        .expect("fault-free run");
+        assert_eq!(report.attempts, 1);
+        assert!(!report.faults_cleared);
     }
 
     #[test]
     fn panicking_benchmark_leaves_shared_handle_clean() {
-        // Satellite regression: a caught panic must not leave the
-        // caller's telemetry handle with unbalanced open spans — the
-        // next (healthy) benchmark through the same handle must record
-        // a clean span tree and a one-run profile.
+        // A caught panic must not leave the caller's telemetry handle
+        // with unbalanced open spans — the next (healthy) benchmark
+        // through the same handle must record a clean span tree and a
+        // one-run profile.
         let mut tel = Telemetry::enabled();
         tel.profiler_mut().enable();
-        let policy = BudgetPolicy {
-            max_attempts: 1,
-            backoff_base_ms: 0,
-            ..BudgetPolicy::default()
-        };
-        let fail = run_budgeted_cached_tel(
-            &PanickyBench,
-            crate::Scale::Tiny,
-            crate::Dataset::Eval,
-            &MemoConfig::l1_only(4096),
-            &policy,
-            None,
-            RunOptions::default(),
+        let memo = MemoConfig::l1_only(4096);
+        let fail = run(
+            &RunRequest::new(&PanickyBench, crate::Scale::Tiny, &memo),
             &mut tel,
         )
         .unwrap_err();
@@ -1693,14 +1153,8 @@ mod tests {
         assert_eq!(tel.close_open_spans(), 0, "no spans left open");
 
         let bench = crate::benchmark_by_name("blackscholes").unwrap();
-        run_budgeted_cached_tel(
-            bench.as_ref(),
-            crate::Scale::Tiny,
-            crate::Dataset::Eval,
-            &MemoConfig::l1_only(4096),
-            &policy,
-            None,
-            RunOptions::default(),
+        run(
+            &RunRequest::new(bench.as_ref(), crate::Scale::Tiny, &memo),
             &mut tel,
         )
         .expect("healthy benchmark after a panic");
@@ -1722,43 +1176,20 @@ mod tests {
     #[test]
     fn watchdog_failure_recovers_span_stack() {
         // A watchdog trip abandons the run mid-span (inside the
-        // simulator); the budgeted runner must drain the open stack so
-        // the handle stays balanced, then a degraded-config success
-        // must profile exactly one run.
-        use axmemo_core::faults::FaultConfig;
+        // simulator); the runner must drain the open stack so the
+        // handle stays balanced, then the faults-off success must
+        // profile exactly one run.
         let bench = crate::benchmark_by_name("blackscholes").unwrap();
-        let memo = MemoConfig {
-            faults: FaultConfig {
-                seed: 3,
-                latency_spike_ppm: axmemo_core::faults::PPM,
-                latency_spike_cycles: 100_000,
-                ..FaultConfig::default()
-            },
-            ..MemoConfig::l1_only(4096)
-        };
-        let policy = BudgetPolicy {
+        let memo = fault_storm();
+        let req = RunRequest {
             max_cycles: 2_000_000,
-            derived: None,
-            max_attempts: 1,
-            backoff_base_ms: 0,
-            retry_without_faults: true,
-            ..BudgetPolicy::default()
+            ..RunRequest::new(bench.as_ref(), crate::Scale::Tiny, &memo)
         };
         let mut tel = Telemetry::enabled();
         tel.profiler_mut().enable();
-        let run = run_budgeted_cached_tel(
-            bench.as_ref(),
-            crate::Scale::Tiny,
-            crate::Dataset::Eval,
-            &memo,
-            &policy,
-            None,
-            RunOptions::default(),
-            &mut tel,
-        )
-        .expect("degraded retry must succeed");
-        assert!(run.faults_cleared);
-        assert_eq!(run.attempts, 2);
+        let report = run(&req, &mut tel).expect("degraded retry must succeed");
+        assert!(report.faults_cleared);
+        assert_eq!(report.attempts, 2);
         assert_eq!(tel.close_open_spans(), 0, "span tree balanced");
         // The failed fault-injected attempt's profile was discarded:
         // only the successful run remains.

@@ -5,10 +5,11 @@
 //!
 //! Run with: `cargo run --release --example design_space`
 
+use axmemo_bench::run_cell;
 use axmemo_core::config::{DataWidth, MemoConfig};
 use axmemo_core::crc::CrcWidth;
 use axmemo_sim::energy::AreaModel;
-use axmemo_workloads::{benchmark_by_name, run_benchmark, Dataset, Scale};
+use axmemo_workloads::{benchmark_by_name, Scale};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let bench = benchmark_by_name("kmeans").expect("kmeans is registered");
@@ -21,7 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // L1 size sweep.
     for l1 in [4 * 1024, 8 * 1024, 16 * 1024] {
         let cfg = MemoConfig::l1_only(l1);
-        let r = run_benchmark(bench.as_ref(), Scale::Small, Dataset::Eval, &cfg)?;
+        let r = run_cell(bench.as_ref(), Scale::Small, &cfg)?;
         let area = AreaModel::for_l1_lut(l1);
         println!(
             "{:<34} | {:>7.2}x | {:>7.1}% | {:>10.4}",
@@ -38,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             crc_width: width,
             ..MemoConfig::l1_only(8 * 1024)
         };
-        let r = run_benchmark(bench.as_ref(), Scale::Small, Dataset::Eval, &cfg)?;
+        let r = run_cell(bench.as_ref(), Scale::Small, &cfg)?;
         println!(
             "{:<34} | {:>7.2}x | {:>7.1}% | {:>10}",
             format!("L1 8 KB, {width}"),
@@ -57,7 +58,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // Note: the runner overrides data width with the benchmark's
         // requirement for packed outputs; kmeans uses 4-byte outputs so
         // both variants run as requested only through the raw config.
-        let r = run_benchmark(bench.as_ref(), Scale::Small, Dataset::Eval, &cfg)?;
+        let r = run_cell(bench.as_ref(), Scale::Small, &cfg)?;
         println!(
             "{:<34} | {:>7.2}x | {:>7.1}% | {:>10}",
             format!("L1 8 KB, {:?} data", dw),

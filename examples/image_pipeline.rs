@@ -6,8 +6,9 @@
 //!
 //! Run with: `cargo run --release --example image_pipeline`
 
+use axmemo_bench::run_cell;
 use axmemo_core::config::MemoConfig;
-use axmemo_workloads::{benchmark_by_name, run_benchmark, Dataset, Scale};
+use axmemo_workloads::{benchmark_by_name, Scale};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let sobel = benchmark_by_name("sobel").expect("sobel is registered");
@@ -17,7 +18,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "configuration", "speedup", "energy", "hit rate", "error"
     );
     for (name, cfg) in MemoConfig::paper_sweep() {
-        let r = run_benchmark(sobel.as_ref(), Scale::Small, Dataset::Eval, &cfg)?;
+        let r = run_cell(sobel.as_ref(), Scale::Small, &cfg)?;
         println!(
             "{:<24} | {:>7.2}x | {:>7.2}x | {:>7.1}% | {:>9.4}%",
             name,

@@ -1,13 +1,18 @@
 //! Integration tests for baseline sharing: the reduced fault sweep is
 //! byte-identical with the cache on vs. `--no-baseline-cache` at any
 //! worker count, performs exactly one baseline simulation per distinct
-//! benchmark (asserted via `orchestrator.baseline.computed`), and the
-//! per-benchmark derived watchdogs come from measured baseline cycles.
+//! benchmark (asserted via `orchestrator.baseline.computed`), warm and
+//! cold cells share one baseline, and the per-benchmark watchdogs come
+//! from measured baseline cycles.
 
 use axmemo_bench::orchestrator::Orchestrator;
 use axmemo_bench::{sweep, DispatchTier, ReportMode};
+use axmemo_core::config::MemoConfig;
 use axmemo_telemetry::Telemetry;
-use axmemo_workloads::runner::{BaselineCache, DerivedBudget};
+use axmemo_workloads::runner::{
+    memo_watchdog, run, BaselineCache, RunRequest, SnapshotPlan, WATCHDOG_FLOOR_CYCLES,
+    WATCHDOG_MARGIN,
+};
 use axmemo_workloads::{benchmark_by_name, Dataset, Scale};
 
 /// The PR's acceptance property: the reduced `fault_sweep` report is
@@ -176,27 +181,62 @@ fn failed_baseline_is_cached_and_shared() {
     );
 }
 
-/// The derived per-benchmark watchdog is `margin × baseline` with a
-/// floor, clamped to the policy ceiling.
+/// The memoized leg's watchdog is `WATCHDOG_MARGIN × baseline` with a
+/// floor, clamped to the request's `max_cycles`.
 #[test]
 fn derived_budget_watchdog_math() {
-    let d = DerivedBudget {
-        margin: 8,
-        floor_cycles: 1_000_000,
-    };
+    assert_eq!((WATCHDOG_MARGIN, WATCHDOG_FLOOR_CYCLES), (8, 1_000_000));
     // Small baselines sit on the floor.
-    assert_eq!(d.watchdog(10_000, u64::MAX), 1_000_000);
+    assert_eq!(memo_watchdog(10_000, u64::MAX), 1_000_000);
     // Large baselines scale by the margin.
-    assert_eq!(d.watchdog(10_000_000, u64::MAX), 80_000_000);
-    // The policy-wide ceiling always wins.
-    assert_eq!(d.watchdog(10_000_000, 5_000_000), 5_000_000);
+    assert_eq!(memo_watchdog(10_000_000, u64::MAX), 80_000_000);
+    // The request's ceiling always wins, even below the floor.
+    assert_eq!(memo_watchdog(10_000_000, 5_000_000), 5_000_000);
+    assert_eq!(memo_watchdog(10_000, 1_000), 1_000);
     // Saturating: an absurd baseline must not overflow.
-    assert_eq!(d.watchdog(u64::MAX / 2, u64::MAX), u64::MAX);
-    assert_eq!(
-        DerivedBudget::default(),
-        DerivedBudget {
-            margin: 8,
-            floor_cycles: 1_000_000
-        }
-    );
+    assert_eq!(memo_watchdog(u64::MAX / 2, u64::MAX), u64::MAX);
+}
+
+/// A warm (restored) cell and a cold cell on one cache simulate the
+/// baseline once — the baseline core has no memoization unit, so a
+/// restore cannot reach it — and each returns exactly what it returns
+/// on a cache of its own.
+#[test]
+fn warm_and_cold_cells_share_one_baseline() {
+    let dir = std::env::temp_dir().join(format!("axmemo-warmkey-{}", std::process::id()));
+    let image = dir.join("fft.axmsnap");
+    let bench = benchmark_by_name("fft").unwrap();
+    let memo = MemoConfig::l1_only(8 * 1024);
+    let cell = |cache: &BaselineCache, plan: SnapshotPlan| {
+        let req = RunRequest {
+            cache: Some(cache),
+            snapshot: plan,
+            ..RunRequest::new(bench.as_ref(), Scale::Tiny, &memo)
+        };
+        let mut tel = Telemetry::enabled();
+        let report = run(&req, &mut tel).expect("tiny cell succeeds");
+        report.to_json(tel.registry())
+    };
+    let cold_plan = SnapshotPlan {
+        snapshot_out: Some(image.clone()),
+        ..SnapshotPlan::default()
+    };
+    let warm_plan = SnapshotPlan {
+        restore_from: Some(image.clone()),
+        ..SnapshotPlan::default()
+    };
+
+    let shared = BaselineCache::new();
+    let cold = cell(&shared, cold_plan.clone());
+    let warm = cell(&shared, warm_plan.clone());
+    assert_eq!(shared.computed(), 1, "one baseline for warm and cold");
+    assert_eq!(shared.reused(), 1);
+    assert_eq!(shared.programs_compiled(), 1, "one compiled program");
+    assert!(warm.contains("\"recovery\":{\"outcome\":\"restored\""));
+
+    let cold_alone = cell(&BaselineCache::new(), cold_plan);
+    let warm_alone = cell(&BaselineCache::new(), warm_plan);
+    assert_eq!(cold, cold_alone, "cold cell independent of cache sharing");
+    assert_eq!(warm, warm_alone, "warm cell independent of cache sharing");
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -15,15 +15,8 @@ use axmemo_sim::cpu::{Machine, SimConfig, Simulator};
 use axmemo_sim::ir::{Cond, IAluOp, Operand};
 use axmemo_sim::ProgramBuilder;
 use axmemo_telemetry::{event_to_json, RingBufferSink, Telemetry};
-use axmemo_workloads::runner::{run_benchmark_report, RunOptions};
-use axmemo_workloads::{all_benchmarks, Dataset, Scale};
-
-fn options(dispatch: DispatchTier) -> RunOptions {
-    RunOptions {
-        dispatch,
-        ..RunOptions::default()
-    }
-}
+use axmemo_workloads::runner::{run, RunRequest};
+use axmemo_workloads::{all_benchmarks, Scale};
 
 /// Every registered benchmark at tiny scale: identical baseline and
 /// memoized [`axmemo_sim::stats::RunStats`], identical paper metrics,
@@ -40,21 +33,19 @@ fn every_benchmark_is_bit_identical_across_interpreters() {
             let sink = RingBufferSink::new(4_000_000);
             let mut tel = Telemetry::enabled();
             tel.add_sink(Box::new(sink.clone()));
-            let report = run_benchmark_report(
-                bench.as_ref(),
-                Scale::Tiny,
-                Dataset::Eval,
-                &cfg,
-                options(tier),
-                tel,
-            )
-            .unwrap_or_else(|e| panic!("{name} (dispatch={}): {e}", tier.name()));
+            let req = RunRequest {
+                dispatch: tier,
+                ..RunRequest::new(bench.as_ref(), Scale::Tiny, &cfg)
+            };
+            let report = run(&req, &mut tel)
+                .unwrap_or_else(|e| panic!("{name} (dispatch={}): {e}", tier.name()));
             assert_eq!(sink.dropped(), 0, "{name}: event stream truncated");
             let events: Vec<String> = sink.events().iter().map(event_to_json).collect();
-            legs.push((tier, report, events));
+            let json = report.to_json(tel.registry());
+            legs.push((tier, report, json, events));
         }
-        let (_, ref_report, ref_events) = &legs[0];
-        for (tier, report, events) in &legs[1..] {
+        let (_, ref_report, ref_json, ref_events) = &legs[0];
+        for (tier, report, json, events) in &legs[1..] {
             let t = tier.name();
             assert_eq!(
                 report.result.baseline_stats, ref_report.result.baseline_stats,
@@ -72,11 +63,7 @@ fn every_benchmark_is_bit_identical_across_interpreters() {
                 report.result.hit_rate, ref_report.result.hit_rate,
                 "{name} ({t}): hit rate diverges"
             );
-            assert_eq!(
-                report.to_json(),
-                ref_report.to_json(),
-                "{name} ({t}): report JSON diverges"
-            );
+            assert_eq!(json, ref_json, "{name} ({t}): report JSON diverges");
             assert_eq!(
                 events.len(),
                 ref_events.len(),

@@ -6,16 +6,14 @@
 //! 2. Output quality degrades monotonically as the flip rate rises, and
 //!    the ECC-protected curve degrades strictly slower than the
 //!    unprotected one at rates where faults actually land.
-//! 3. The supervised runner's watchdog bounds a fault-free run too —
-//!    the cycle budget is enforced end-to-end, not just in unit tests.
+//! 3. The runner's watchdog bounds a fault-free run too — the cycle
+//!    budget is enforced end-to-end, not just in unit tests.
 
+use axmemo_bench::run_cell;
 use axmemo_core::config::MemoConfig;
 use axmemo_core::faults::{FaultConfig, Protection};
-use axmemo_workloads::runner::run_benchmark;
-use axmemo_workloads::{
-    benchmark_by_name, run_supervised, BenchmarkResult, Dataset, FailureKind, Scale,
-    SupervisorConfig,
-};
+use axmemo_telemetry::Telemetry;
+use axmemo_workloads::{benchmark_by_name, run, BenchmarkResult, FailureKind, RunRequest, Scale};
 
 fn faulty_config(seed: u64, flip_ppm: u32, protection: Protection) -> MemoConfig {
     MemoConfig {
@@ -26,7 +24,7 @@ fn faulty_config(seed: u64, flip_ppm: u32, protection: Protection) -> MemoConfig
 
 fn run_blackscholes(cfg: &MemoConfig) -> BenchmarkResult {
     let bench = benchmark_by_name("blackscholes").expect("registered");
-    run_benchmark(bench.as_ref(), Scale::Tiny, Dataset::Eval, cfg).expect("tiny run succeeds")
+    run_cell(bench.as_ref(), Scale::Tiny, cfg).expect("tiny run succeeds")
 }
 
 fn digest(r: &BenchmarkResult) -> (u64, u64, u64, u64, u64) {
@@ -96,19 +94,15 @@ fn quality_degrades_monotonically_and_ecc_degrades_slower() {
 #[test]
 fn supervised_watchdog_bounds_cycles_end_to_end() {
     let bench = benchmark_by_name("blackscholes").expect("registered");
-    let sup = SupervisorConfig {
+    let memo = MemoConfig::l1_only(8 * 1024);
+    let req = RunRequest {
         max_cycles: 500,
-        retry_without_faults: false,
+        ..RunRequest::new(bench.as_ref(), Scale::Tiny, &memo)
     };
-    let failure = run_supervised(
-        bench.as_ref(),
-        Scale::Tiny,
-        Dataset::Eval,
-        &MemoConfig::l1_only(8 * 1024),
-        &sup,
-    )
-    .expect_err("500 cycles cannot finish blackscholes");
+    let failure =
+        run(&req, &mut Telemetry::off()).expect_err("500 cycles cannot finish blackscholes");
     assert_eq!(failure.kind, FailureKind::Watchdog);
+    assert_eq!(failure.attempts, 1, "no faults to clear, so no retry");
     assert!(
         failure.message.contains("cycle limit"),
         "unexpected message: {}",

@@ -2,11 +2,11 @@
 //! through compiler codegen, simulator, memoization hardware, and the
 //! metrics the figures report.
 
-use axmemo_bench::{atm_outcome, collect_events, software_lut_outcome};
+use axmemo_bench::{atm_outcome, collect_events, run_cell, software_lut_outcome, DispatchTier};
 use axmemo_compiler::codegen::memoize;
 use axmemo_core::config::MemoConfig;
 use axmemo_sim::cpu::{SimConfig, Simulator};
-use axmemo_workloads::{all_benchmarks, benchmark_by_name, run_benchmark, Dataset, Scale};
+use axmemo_workloads::{all_benchmarks, benchmark_by_name, BaselineCache, Dataset, Scale};
 
 /// Every benchmark runs end-to-end (baseline + memoized) at tiny scale
 /// with the largest paper configuration, within the §5 error bounds.
@@ -14,7 +14,7 @@ use axmemo_workloads::{all_benchmarks, benchmark_by_name, run_benchmark, Dataset
 fn all_benchmarks_run_end_to_end_within_quality_bounds() {
     let cfg = MemoConfig::l1_l2(8 * 1024, 512 * 1024);
     for bench in all_benchmarks() {
-        let r = run_benchmark(bench.as_ref(), Scale::Tiny, Dataset::Eval, &cfg)
+        let r = run_cell(bench.as_ref(), Scale::Tiny, &cfg)
             .unwrap_or_else(|e| panic!("{}: {e}", bench.meta().name));
         let bound = bench.meta().metric.bound().max(0.01);
         assert!(
@@ -37,11 +37,11 @@ fn speedup_shape_matches_paper() {
     let winners = ["blackscholes", "srad", "lavamd"];
     for name in winners {
         let b = benchmark_by_name(name).unwrap();
-        let r = run_benchmark(b.as_ref(), Scale::Tiny, Dataset::Eval, &cfg).unwrap();
+        let r = run_cell(b.as_ref(), Scale::Tiny, &cfg).unwrap();
         assert!(r.speedup > 1.1, "{name}: speedup {}", r.speedup);
     }
     let jmeint = benchmark_by_name("jmeint").unwrap();
-    let r = run_benchmark(jmeint.as_ref(), Scale::Tiny, Dataset::Eval, &cfg).unwrap();
+    let r = run_cell(jmeint.as_ref(), Scale::Tiny, &cfg).unwrap();
     assert!(
         r.speedup > 0.85 && r.speedup < 1.1,
         "jmeint should be ~flat, got {}",
@@ -56,7 +56,7 @@ fn hit_rate_monotone_in_lut_capacity() {
     let bench = benchmark_by_name("inversek2j").unwrap();
     let mut last = -1.0f64;
     for (name, cfg) in MemoConfig::paper_sweep() {
-        let r = run_benchmark(bench.as_ref(), Scale::Tiny, Dataset::Eval, &cfg).unwrap();
+        let r = run_cell(bench.as_ref(), Scale::Tiny, &cfg).unwrap();
         assert!(
             r.hit_rate >= last - 0.02,
             "{name}: hit rate dropped {last} -> {}",
@@ -74,11 +74,47 @@ fn exact_memoization_is_output_transparent_for_blackscholes() {
     // blackscholes has trunc 0 in Table 2 already.
     let bench = benchmark_by_name("blackscholes").unwrap();
     let cfg = MemoConfig::l1_l2(8 * 1024, 256 * 1024);
-    let r = run_benchmark(bench.as_ref(), Scale::Tiny, Dataset::Eval, &cfg).unwrap();
+    let r = run_cell(bench.as_ref(), Scale::Tiny, &cfg).unwrap();
     assert_eq!(
         r.error.output_error, 0.0,
         "exact memoization changed outputs"
     );
+}
+
+/// Contender inputs honour the execution tier and match across tiers:
+/// the legacy spec and the threaded fast path record identical lookup
+/// events and baseline stats, with or without a shared cache.
+#[test]
+fn contender_inputs_match_across_tiers() {
+    for name in ["blackscholes", "sobel"] {
+        let bench = benchmark_by_name(name).unwrap();
+        let cache = BaselineCache::new();
+        let legacy =
+            collect_events(bench.as_ref(), Scale::Tiny, DispatchTier::Legacy, None).unwrap();
+        let threaded = collect_events(
+            bench.as_ref(),
+            Scale::Tiny,
+            DispatchTier::Threaded,
+            Some(&cache),
+        )
+        .unwrap();
+        assert!(!legacy.events.is_empty(), "{name}: no lookups recorded");
+        assert_eq!(legacy.events, threaded.events, "{name}: events diverge");
+        assert_eq!(
+            legacy.baseline, threaded.baseline,
+            "{name}: baseline diverges"
+        );
+        // The cached baseline is keyed by tier: a legacy request
+        // simulates its own instead of reusing the threaded one.
+        collect_events(
+            bench.as_ref(),
+            Scale::Tiny,
+            DispatchTier::Legacy,
+            Some(&cache),
+        )
+        .unwrap();
+        assert_eq!(cache.computed(), 2, "{name}: one baseline per tier");
+    }
 }
 
 /// Software contenders replay the same event stream and produce
@@ -86,7 +122,8 @@ fn exact_memoization_is_output_transparent_for_blackscholes() {
 #[test]
 fn contenders_replay_coherently() {
     let bench = benchmark_by_name("blackscholes").unwrap();
-    let inputs = collect_events(bench.as_ref(), Scale::Tiny).unwrap();
+    let inputs =
+        collect_events(bench.as_ref(), Scale::Tiny, DispatchTier::default(), None).unwrap();
     assert!(!inputs.events.is_empty());
     let sw = software_lut_outcome(&inputs);
     let atm = atm_outcome(&inputs);

@@ -12,7 +12,7 @@
 //! both caps restored occupancy (bounding LRU pollution) and starts
 //! the ladder fresh so the warm run re-earns any degradation.
 
-use axmemo_bench::{run_cell_report_snap, RunOptions, SnapshotPlan};
+use axmemo_bench::{run, RunRequest, SnapshotPlan};
 use axmemo_core::config::MemoConfig;
 use axmemo_core::ids::{LutId, ThreadId};
 use axmemo_core::quality::{DegradationStage, QualityState};
@@ -20,13 +20,27 @@ use axmemo_core::truncate::InputValue;
 use axmemo_core::unit::{LookupResult, MemoizationUnit};
 use axmemo_core::RestorePolicy;
 use axmemo_telemetry::Telemetry;
-use axmemo_workloads::{benchmark_by_name, Benchmark, Scale};
+use axmemo_workloads::{benchmark_by_name, Benchmark, RunFailure, RunReport, Scale};
 use std::path::PathBuf;
 
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("axmemo-restpol-{}-{tag}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create scratch dir");
     dir
+}
+
+/// One evaluation-dataset cell under `plan`, telemetry off.
+fn snap_cell(
+    bench: &dyn Benchmark,
+    scale: Scale,
+    memo: &MemoConfig,
+    plan: &SnapshotPlan,
+) -> Result<RunReport, RunFailure> {
+    let req = RunRequest {
+        snapshot: plan.clone(),
+        ..RunRequest::new(bench, scale, memo)
+    };
+    run(&req, &mut Telemetry::off())
 }
 
 fn sobel() -> Box<dyn Benchmark> {
@@ -65,32 +79,14 @@ fn mru_policy_warm_sobel_small_is_at_least_cold() {
         snapshot_out: Some(path.clone()),
         restore_policy: RestorePolicy::MruFirst,
     };
-    let cold = run_cell_report_snap(
-        sobel().as_ref(),
-        Scale::Small,
-        &memo,
-        Telemetry::off(),
-        None,
-        RunOptions::default(),
-        &cold_plan,
-    )
-    .expect("cold run");
+    let cold = snap_cell(sobel().as_ref(), Scale::Small, &memo, &cold_plan).expect("cold run");
 
     let warm_plan = SnapshotPlan {
         restore_from: Some(path),
         snapshot_out: None,
         restore_policy: RestorePolicy::MruFirst,
     };
-    let warm = run_cell_report_snap(
-        sobel().as_ref(),
-        Scale::Small,
-        &memo,
-        Telemetry::off(),
-        None,
-        RunOptions::default(),
-        &warm_plan,
-    )
-    .expect("warm run");
+    let warm = snap_cell(sobel().as_ref(), Scale::Small, &memo, &warm_plan).expect("warm run");
     let rec = warm.recovery.as_ref().expect("restore reported");
     assert!(rec.entries_restored() > 0, "warm leg restored entries");
     assert!(

@@ -12,21 +12,35 @@
 use std::collections::HashSet;
 use std::path::PathBuf;
 
-use axmemo_bench::{run_cell_report_cached, run_cell_report_snap, RunOptions, SnapshotPlan};
+use axmemo_bench::{run, RunRequest, SnapshotPlan};
 use axmemo_core::config::MemoConfig;
 use axmemo_core::ids::{LutId, ThreadId};
 use axmemo_core::snapshot::{CrashMode, CrashPoint, MemoSnapshot, RecoveryOutcome};
 use axmemo_core::truncate::InputValue;
 use axmemo_core::two_level::TwoLevelLut;
 use axmemo_core::unit::{LookupResult, MemoizationUnit};
-use axmemo_telemetry::Telemetry;
-use axmemo_workloads::{benchmark_by_name, Benchmark, Scale};
+use axmemo_telemetry::{Registry, Telemetry};
+use axmemo_workloads::{benchmark_by_name, Benchmark, RunFailure, RunReport, Scale};
 
 /// Unique-per-test scratch directory under the OS temp dir.
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("axmemo-snaptest-{}-{tag}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create scratch dir");
     dir
+}
+
+/// One evaluation-dataset cell under `plan`, telemetry off.
+fn snap_cell(
+    bench: &dyn Benchmark,
+    scale: Scale,
+    memo: &MemoConfig,
+    plan: &SnapshotPlan,
+) -> Result<RunReport, RunFailure> {
+    let req = RunRequest {
+        snapshot: plan.clone(),
+        ..RunRequest::new(bench, scale, memo)
+    };
+    run(&req, &mut Telemetry::off())
 }
 
 /// A warm image with a few hundred live L1/L2 entries and quality
@@ -161,16 +175,7 @@ fn runner_warm_start_beats_cold_and_keeps_stats_clean() {
         snapshot_out: Some(path.clone()),
         ..SnapshotPlan::default()
     };
-    let cold = run_cell_report_snap(
-        fft().as_ref(),
-        Scale::Tiny,
-        &memo,
-        Telemetry::off(),
-        None,
-        RunOptions::default(),
-        &cold_plan,
-    )
-    .expect("cold run");
+    let cold = snap_cell(fft().as_ref(), Scale::Tiny, &memo, &cold_plan).expect("cold run");
     assert!(cold.recovery.is_none(), "nothing restored on the cold leg");
     assert!(path.is_file(), "snapshot written");
     assert!(
@@ -183,16 +188,7 @@ fn runner_warm_start_beats_cold_and_keeps_stats_clean() {
         snapshot_out: None,
         ..SnapshotPlan::default()
     };
-    let warm = run_cell_report_snap(
-        fft().as_ref(),
-        Scale::Tiny,
-        &memo,
-        Telemetry::off(),
-        None,
-        RunOptions::default(),
-        &warm_plan,
-    )
-    .expect("warm run");
+    let warm = snap_cell(fft().as_ref(), Scale::Tiny, &memo, &warm_plan).expect("warm run");
     let rec = warm.recovery.as_ref().expect("restore reported");
     assert_eq!(rec.outcome, RecoveryOutcome::Restored);
     assert!(rec.entries_restored() > 0);
@@ -230,42 +226,18 @@ fn snapshot_files_and_default_off_path_are_deterministic() {
             snapshot_out: Some(dir.join(format!("fft.{leg}.axmsnap"))),
             ..SnapshotPlan::default()
         };
-        run_cell_report_snap(
-            fft().as_ref(),
-            Scale::Tiny,
-            &memo,
-            Telemetry::off(),
-            None,
-            RunOptions::default(),
-            &plan,
-        )
-        .expect("snapshot run");
+        snap_cell(fft().as_ref(), Scale::Tiny, &memo, &plan).expect("snapshot run");
         images.push(std::fs::read(plan.snapshot_out.as_ref().unwrap()).expect("read snapshot"));
     }
     assert_eq!(images[0], images[1], "snapshot bytes are deterministic");
 
-    let plain = run_cell_report_cached(
-        fft().as_ref(),
-        Scale::Tiny,
-        &memo,
-        Telemetry::off(),
-        None,
-        RunOptions::default(),
-    )
-    .expect("plain run");
-    let empty_plan = run_cell_report_snap(
-        fft().as_ref(),
-        Scale::Tiny,
-        &memo,
-        Telemetry::off(),
-        None,
-        RunOptions::default(),
-        &SnapshotPlan::default(),
-    )
-    .expect("empty-plan run");
+    let plain =
+        snap_cell(fft().as_ref(), Scale::Tiny, &memo, &SnapshotPlan::default()).expect("plain run");
+    let empty_plan = snap_cell(fft().as_ref(), Scale::Tiny, &memo, &SnapshotPlan::default())
+        .expect("empty-plan run");
     assert_eq!(
-        plain.to_json(),
-        empty_plan.to_json(),
+        plain.to_json(&Registry::default()),
+        empty_plan.to_json(&Registry::default()),
         "empty plan is byte-identical to the cached path"
     );
     let _ = std::fs::remove_dir_all(&dir);
@@ -285,29 +257,14 @@ fn corrupt_snapshot_degrades_to_reported_cold_start() {
         snapshot_out: None,
         ..SnapshotPlan::default()
     };
-    let report = run_cell_report_snap(
-        fft().as_ref(),
-        Scale::Tiny,
-        &memo,
-        Telemetry::off(),
-        None,
-        RunOptions::default(),
-        &plan,
-    )
-    .expect("corrupt snapshot must not abort the run");
+    let report = snap_cell(fft().as_ref(), Scale::Tiny, &memo, &plan)
+        .expect("corrupt snapshot must not abort the run");
     let rec = report.recovery.as_ref().expect("cold start reported");
     assert_eq!(rec.outcome, RecoveryOutcome::ColdStart);
     assert!(rec.cold_start_reason.is_some());
 
-    let cold = run_cell_report_cached(
-        fft().as_ref(),
-        Scale::Tiny,
-        &memo,
-        Telemetry::off(),
-        None,
-        RunOptions::default(),
-    )
-    .expect("plain cold run");
+    let cold = snap_cell(fft().as_ref(), Scale::Tiny, &memo, &SnapshotPlan::default())
+        .expect("plain cold run");
     assert_eq!(
         report.result.hit_rate, cold.result.hit_rate,
         "a failed restore runs exactly as cold"
@@ -327,13 +284,10 @@ fn missing_restore_file_is_an_error_naming_the_path() {
         snapshot_out: None,
         ..SnapshotPlan::default()
     };
-    let err = run_cell_report_snap(
+    let err = snap_cell(
         fft().as_ref(),
         Scale::Tiny,
         &MemoConfig::l1_only(8 * 1024),
-        Telemetry::off(),
-        None,
-        RunOptions::default(),
         &plan,
     )
     .expect_err("missing file must surface as an error");

@@ -5,8 +5,8 @@
 use axmemo_core::config::MemoConfig;
 use axmemo_sim::cpu::DispatchTier;
 use axmemo_telemetry::{JsonlSink, RingBufferSink, Telemetry};
-use axmemo_workloads::runner::{run_benchmark_report, RunOptions};
-use axmemo_workloads::{all_benchmarks, benchmark_by_name, Dataset, Scale};
+use axmemo_workloads::runner::{run, RunRequest};
+use axmemo_workloads::{all_benchmarks, benchmark_by_name, Scale};
 
 /// The profiler's exclusive cycles partition the memoized run: summed
 /// over every phase they equal `RunStats::cycles` exactly, for every
@@ -22,14 +22,13 @@ fn profile_exclusive_cycles_sum_to_run_cycles() {
         for tier in DispatchTier::ALL {
             let mut tel = Telemetry::off();
             tel.profiler_mut().enable();
-            let opts = RunOptions {
+            let req = RunRequest {
                 dispatch: tier,
-                ..RunOptions::default()
+                ..RunRequest::new(bench.as_ref(), Scale::Tiny, &cfg)
             };
             let report =
-                run_benchmark_report(bench.as_ref(), Scale::Tiny, Dataset::Eval, &cfg, opts, tel)
-                    .unwrap_or_else(|e| panic!("{name} ({}): {e}", tier.name()));
-            let profile = report.telemetry.take_profile().expect("profiler enabled");
+                run(&req, &mut tel).unwrap_or_else(|e| panic!("{name} ({}): {e}", tier.name()));
+            let profile = tel.take_profile().expect("profiler enabled");
             let exclusive: u64 = profile.phases.values().map(|p| p.cycles).sum();
             assert_eq!(
                 exclusive,
@@ -52,13 +51,9 @@ fn lut_events_reconcile_with_benchmark_hit_rate() {
     let mut tel = Telemetry::enabled();
     tel.add_sink(Box::new(sink.clone()));
     let cfg = MemoConfig::l1_l2(4 * 1024, 64 * 1024);
-    let report = run_benchmark_report(
-        bench.as_ref(),
-        Scale::Tiny,
-        Dataset::Eval,
-        &cfg,
-        RunOptions::default(),
-        tel,
+    let report = run(
+        &RunRequest::new(bench.as_ref(), Scale::Tiny, &cfg),
+        &mut tel,
     )
     .expect("run succeeds");
 
@@ -72,7 +67,7 @@ fn lut_events_reconcile_with_benchmark_hit_rate() {
     assert_eq!(hits + misses, report.l1_lut.hits + report.l1_lut.misses);
 
     // Event stream vs the registry counters: exact.
-    let reg = report.telemetry.registry();
+    let reg = tel.registry();
     assert_eq!(reg.counter("lut.probes"), hits + misses);
     assert_eq!(
         reg.counter("lut.l1.hits") + reg.counter("lut.l2.hits"),
@@ -96,25 +91,20 @@ fn lut_events_reconcile_with_benchmark_hit_rate() {
 #[test]
 fn run_report_carries_span_and_counters() {
     let bench = benchmark_by_name("fft").expect("fft registered");
-    let tel = Telemetry::enabled();
+    let mut tel = Telemetry::enabled();
     let cfg = MemoConfig::l1_only(4 * 1024);
-    let report = run_benchmark_report(
-        bench.as_ref(),
-        Scale::Tiny,
-        Dataset::Eval,
-        &cfg,
-        RunOptions::default(),
-        tel,
+    let report = run(
+        &RunRequest::new(bench.as_ref(), Scale::Tiny, &cfg),
+        &mut tel,
     )
     .expect("run succeeds");
-    let tel = &report.telemetry;
     let spans = tel.spans();
     assert_eq!(spans.len(), 1, "one span per benchmark run");
     assert_eq!(spans[0].path, "run:fft");
     assert!(spans[0].cycles() > 0, "span must cover the simulated run");
     assert!(tel.registry().counter("inst.total") > 0);
     assert!(tel.registry().counter("lut.updates") > 0);
-    let json = report.to_json();
+    let json = report.to_json(tel.registry());
     assert!(json.starts_with('{') && json.ends_with('}'));
     assert!(json.contains("\"hit_rate\":"));
 }
@@ -130,15 +120,12 @@ fn jsonl_trace_is_valid_per_line() {
         JsonlSink::create(&path).expect("trace file creatable"),
     ));
     let cfg = MemoConfig::l1_only(4 * 1024);
-    run_benchmark_report(
-        bench.as_ref(),
-        Scale::Tiny,
-        Dataset::Eval,
-        &cfg,
-        RunOptions::default(),
-        tel,
+    run(
+        &RunRequest::new(bench.as_ref(), Scale::Tiny, &cfg),
+        &mut tel,
     )
     .expect("run succeeds");
+    drop(tel);
 
     let contents = std::fs::read_to_string(&path).expect("trace readable");
     std::fs::remove_file(&path).ok();
