@@ -24,11 +24,15 @@ pub mod sweep;
 use axmemo_baselines::cost::kernel_profile;
 use axmemo_baselines::{AtmModel, ContenderOutcome, SoftwareLut};
 use axmemo_compiler::codegen::memoize;
+use axmemo_compiler::dddg::Dddg;
+use axmemo_compiler::trace::TraceCapture;
+use axmemo_compiler::{analyze, AnalysisSummary, SearchConfig};
 use axmemo_core::config::MemoConfig;
 use axmemo_core::unit::LookupEvent;
 use axmemo_core::RestorePolicy;
 pub use axmemo_sim::cpu::DispatchTier;
 use axmemo_sim::cpu::{SimConfig, Simulator};
+use axmemo_sim::pipeline::LatencyModel;
 use axmemo_sim::stats::RunStats;
 use axmemo_telemetry::{escape_json, JsonlSink, Profile, Telemetry};
 pub use axmemo_workloads::runner::{run, RunRequest, SnapshotPlan};
@@ -493,6 +497,28 @@ pub fn scale_from_env() -> Scale {
 /// figures.
 pub fn paper_configs() -> Vec<(String, MemoConfig)> {
     MemoConfig::paper_sweep()
+}
+
+/// One Table 1 row: the §5 analysis of `bench` at tiny scale on the
+/// *sample* dataset (disjoint from evaluation), over the first 200 000
+/// trace events.
+///
+/// # Errors
+///
+/// Propagates simulator failures of the traced run.
+pub fn table1_summary(
+    bench: &dyn Benchmark,
+) -> Result<AnalysisSummary, Box<dyn std::error::Error>> {
+    // Trace window: enough dynamic instructions to cover many kernel
+    // invocations without ballooning graph construction.
+    const TRACE_CAP: usize = 200_000;
+    let (program, _) = bench.program(Scale::Tiny);
+    let mut machine = bench.setup(Scale::Tiny, Dataset::Sample);
+    let mut sim = Simulator::new(SimConfig::baseline())?;
+    let mut cap = TraceCapture::with_limit(TRACE_CAP);
+    sim.run_traced(&program, &mut machine, Some(&mut cap))?;
+    let graph = Dddg::from_trace(cap.events(), &LatencyModel::default());
+    Ok(analyze(&graph, &SearchConfig::default()))
 }
 
 /// Run one (benchmark × config) cell on the evaluation dataset with

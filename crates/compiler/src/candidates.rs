@@ -10,18 +10,50 @@
 //! CI_Ratio = Σ_{v ∈ S} weight(v) / #inputs(S)
 //! ```
 //!
-//! The search runs a directed breadth-first growth rooted at each vertex
-//! of the transpose graph (i.e. growing backward from a sole output
-//! vertex toward producers), keeping the best-ratio subgraph per root.
-//! Candidates are then filtered for structural uniqueness (identical
-//! static-pc signatures, e.g. loop iterations), subset-pruned, and
-//! overlapping survivors merged — producing the Table 1 statistics.
+//! The search grows one subgraph backward from every vertex, which is
+//! its sole output, toward producers. A producer may join `S` only once
+//! all of its consumers are inside `S`; otherwise it would be a second
+//! output. Among the producers that are ready, growth always takes the
+//! one it sighted first: scanning `S` in the order its vertices joined,
+//! and each vertex's inputs in order, it is the first ready producer met.
+//! Growth covers the whole admissible backward cone and keeps the
+//! best-ratio prefix within the input budget. Candidates are then
+//! filtered for structural uniqueness (identical static-pc signatures,
+//! e.g. loop iterations), subset-pruned, and overlapping survivors
+//! merged — producing the Table 1 statistics.
+//!
+//! # Incremental growth
+//!
+//! Growth never re-measures `S`. Adding a vertex updates three pieces of
+//! state per sighted producer `p`:
+//!
+//! - `inside[p]` counts the consumer edges of `p` that land in `S`; `p`
+//!   is ready when it equals `p`'s consumer count.
+//! - The external-input count is the number of producers outside `S`
+//!   with `inside[p] > 0`. It goes up when a producer is first sighted
+//!   and down when that producer joins `S`. Each load in `S` adds one
+//!   memory input on top.
+//! - `key[p]` is where `p` was first sighted: the position in the growth
+//!   order of the consumer that sighted it, then `p`'s index among that
+//!   consumer's inputs. Ready producers wait in a min-heap on this key,
+//!   so the next pop is exactly the first ready producer of the scan
+//!   above. A FIFO of ready producers would pick a different one.
+//!
+//! The state lives in one map keyed by vertex, which the search clears
+//! and reuses for every root. Cones are small (at most 907 vertices in
+//! Table 1's graphs of up to 121 k vertices), so the map stays tens of
+//! kilobytes where arrays sized to the graph would take megabytes.
+//!
+//! A root whose cone has `k` vertices of in-degree at most `deg` costs
+//! O(k·deg·log k).
 
 use crate::dddg::{Dddg, VertexId};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::cmp::{Ordering, Reverse};
+use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// One candidate subgraph (dynamic instance).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Candidate {
     /// Vertices in the subgraph (dynamic ids).
     pub vertices: Vec<VertexId>,
@@ -79,126 +111,187 @@ pub struct AnalysisSummary {
     pub coverage: f64,
 }
 
-/// Find the best candidate rooted at `output` by backward BFS growth.
-///
-/// A producer joins `S` only if *all* of its consumers are already in
-/// `S` (otherwise it would need to be a second output). Growth stops
-/// when the input budget is exceeded; the best-ratio prefix is kept.
-fn grow_from(g: &Dddg, output: VertexId, cfg: &SearchConfig) -> Option<Candidate> {
-    let mut in_s: HashSet<VertexId> = HashSet::from([output]);
-    let mut order: Vec<VertexId> = vec![output];
-    let mut best: Option<(f64, usize)> = None; // (ratio, order length)
+/// What the growth of the current root knows about one vertex it has
+/// sighted: membership in `S`, `inside` and `key` of the module docs.
+#[derive(Debug, Clone, Copy, Default)]
+struct Sighting {
+    /// Whether the vertex has joined `S`.
+    joined: bool,
+    /// Consumer edges of the vertex that land in `S`.
+    inside: usize,
+    /// First sighting: (position in `order` of the sighting consumer,
+    /// index among its inputs).
+    key: (usize, usize),
+}
 
-    loop {
-        // Record current state if eligible.
-        let (inputs, weight) = measure(g, &in_s);
-        if inputs <= cfg.max_inputs && order.len() >= cfg.min_vertices {
-            let ratio = weight as f64 / inputs.max(1) as f64;
-            if best.map(|(r, _)| ratio > r).unwrap_or(true) {
-                best = Some((ratio, order.len()));
-            }
+/// Hasher for vertex ids: one multiply (as in rustc's FxHash). Keys are
+/// dense small integers, so SipHash's flood resistance buys nothing.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
         }
-        // Frontier: producers of S not yet in S whose consumers are all
-        // inside S.
-        let mut next: Option<VertexId> = None;
-        for &v in &order {
-            for &p in &g.vertices[v].inputs {
-                if in_s.contains(&p) {
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+}
+
+/// Scratch state of the incremental growth, reused for every root.
+#[derive(Default)]
+struct Growth {
+    /// Every vertex the current root's growth has sighted or joined.
+    seen: HashMap<VertexId, Sighting, BuildHasherDefault<IdHasher>>,
+    /// Vertices of `S` in the order they joined.
+    order: Vec<VertexId>,
+    /// Ready producers, smallest first-sighting key on top.
+    ready: BinaryHeap<Reverse<((usize, usize), VertexId)>>,
+}
+
+impl Growth {
+    /// Find the best candidate rooted at `output`.
+    ///
+    /// Grows `S` over the whole admissible backward cone of `output`,
+    /// one ready producer at a time in first-sighting order, and keeps
+    /// the prefix of that growth with the best ratio among those within
+    /// `cfg.max_inputs` and at least `cfg.min_vertices` long (the first
+    /// such prefix on ties).
+    fn grow_from(&mut self, g: &Dddg, output: VertexId, cfg: &SearchConfig) -> Option<Candidate> {
+        self.seen.clear();
+        self.order.clear();
+        self.ready.clear();
+        let (mut external, mut loads, mut weight) = (0usize, 0usize, 0u64);
+        // (ratio, prefix length, inputs, weight) of the best prefix.
+        let mut best: Option<(f64, usize, usize, u64)> = None;
+        let mut next = Some(output);
+        while let Some(v) = next {
+            let vertex = &g.vertices[v];
+            let pos = self.order.len();
+            let s = self.seen.entry(v).or_default();
+            s.joined = true;
+            if s.inside > 0 {
+                external -= 1;
+            }
+            self.order.push(v);
+            weight += vertex.weight;
+            // A load inside S brings one memory input into the block.
+            loads += usize::from(vertex.is_load);
+            for (idx, &p) in vertex.inputs.iter().enumerate() {
+                let s = self.seen.entry(p).or_insert(Sighting {
+                    key: (pos, idx),
+                    ..Sighting::default()
+                });
+                if s.joined {
                     continue;
                 }
-                let consumers_inside = g.vertices[p].outputs.iter().all(|c| in_s.contains(c));
-                if consumers_inside {
-                    next = Some(p);
-                    break;
+                if s.inside == 0 {
+                    external += 1;
+                }
+                s.inside += 1;
+                if s.inside == g.vertices[p].outputs.len() {
+                    self.ready.push(Reverse((s.key, p)));
                 }
             }
-            if next.is_some() {
-                break;
+            let inputs = external + loads;
+            if inputs <= cfg.max_inputs && self.order.len() >= cfg.min_vertices {
+                let ratio = weight as f64 / inputs.max(1) as f64;
+                if best.is_none_or(|(r, ..)| ratio > r) {
+                    best = Some((ratio, self.order.len(), inputs, weight));
+                }
             }
+            next = self.ready.pop().map(|Reverse((_, p))| p);
         }
-        match next {
-            Some(p) => {
-                in_s.insert(p);
-                order.push(p);
-            }
-            None => break,
-        }
-    }
 
-    let (_, keep) = best?;
-    let kept: HashSet<VertexId> = order[..keep].iter().copied().collect();
-    let (inputs, weight) = measure(g, &kept);
-    let mut vertices: Vec<VertexId> = kept.into_iter().collect();
-    vertices.sort_unstable();
-    let mut signature: Vec<usize> = vertices.iter().map(|&v| g.vertices[v].pc).collect();
-    signature.sort_unstable();
-    let cand = Candidate {
-        vertices,
-        output,
-        num_inputs: inputs,
-        weight,
-        signature,
-    };
-    (cand.ci_ratio() >= cfg.min_ci_ratio).then_some(cand)
+        let (ratio, keep, num_inputs, weight) = best?;
+        if ratio < cfg.min_ci_ratio {
+            return None;
+        }
+        let mut vertices = self.order[..keep].to_vec();
+        vertices.sort_unstable();
+        let mut signature: Vec<usize> = vertices.iter().map(|&v| g.vertices[v].pc).collect();
+        signature.sort_unstable();
+        Some(Candidate {
+            vertices,
+            output,
+            num_inputs,
+            weight,
+            signature,
+        })
+    }
 }
 
-/// Count external inputs and total weight of a vertex set.
-fn measure(g: &Dddg, s: &HashSet<VertexId>) -> (usize, u64) {
-    let mut ext: BTreeSet<VertexId> = BTreeSet::new();
-    let mut weight = 0;
-    let mut load_inputs = 0usize;
-    for &v in s {
-        weight += g.vertices[v].weight;
-        for &p in &g.vertices[v].inputs {
-            if !s.contains(&p) {
-                ext.insert(p);
-            }
-        }
-        // A load inside S brings one memory input into the block.
-        if g.vertices[v].is_load {
-            load_inputs += 1;
-        }
-    }
-    (ext.len() + load_inputs, weight)
-}
-
-/// Run the full search: one growth per vertex, then dedup/subset/merge.
+/// Run the search: one growth per vertex, in vertex order.
 pub fn find_candidates(g: &Dddg, cfg: &SearchConfig) -> Vec<Candidate> {
-    let mut all = Vec::new();
-    for v in 0..g.len() {
-        if let Some(c) = grow_from(g, v, cfg) {
-            all.push(c);
-        }
-    }
-    all
+    let mut growth = Growth::default();
+    (0..g.len())
+        .filter_map(|v| growth.grow_from(g, v, cfg))
+        .collect()
 }
 
-/// Structural dedup (identical static signatures), subset pruning, and
-/// overlap merging — §5's filtering step. Returns the unique candidates.
+/// A signature as a set: its distinct pcs, ascending.
+fn pc_set(signature: &[usize]) -> Vec<usize> {
+    let mut set = signature.to_vec();
+    set.sort_unstable();
+    set.dedup();
+    set
+}
+
+/// Whether ascending set `a` is a subset of ascending set `b`.
+fn is_subset(a: &[usize], b: &[usize]) -> bool {
+    let mut b = b.iter();
+    a.iter().all(|x| b.any(|y| y == x))
+}
+
+/// Size of the intersection of two ascending sets.
+fn intersection_len(a: &[usize], b: &[usize]) -> usize {
+    let (mut i, mut j, mut n) = (0, 0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            Ordering::Less => i += 1,
+            Ordering::Greater => j += 1,
+            Ordering::Equal => {
+                n += 1;
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    n
+}
+
+/// Structural dedup (identical static signatures) and subset pruning —
+/// §5's filtering step. Returns the unique candidates, longest
+/// signature first; equal lengths keep their input order.
 pub fn filter_unique(candidates: &[Candidate]) -> Vec<Candidate> {
     // Dedup by signature, keeping the first dynamic instance.
-    let mut by_sig: HashMap<Vec<usize>, Candidate> = HashMap::new();
-    for c in candidates {
-        by_sig
-            .entry(c.signature.clone())
-            .or_insert_with(|| c.clone());
-    }
-    let mut unique: Vec<Candidate> = by_sig.into_values().collect();
+    let mut seen: HashSet<&[usize]> = HashSet::new();
+    let mut unique: Vec<&Candidate> = candidates
+        .iter()
+        .filter(|c| seen.insert(&c.signature))
+        .collect();
     // Subset pruning: drop candidates whose signature is a subset of
-    // another's.
-    unique.sort_by_key(|c| std::cmp::Reverse(c.signature.len()));
-    let mut kept: Vec<Candidate> = Vec::new();
+    // a longer (or earlier) kept one's.
+    unique.sort_by_key(|c| Reverse(c.signature.len()));
+    let mut kept: Vec<(Vec<usize>, &Candidate)> = Vec::new();
     for c in unique {
-        let c_set: HashSet<usize> = c.signature.iter().copied().collect();
-        let subset_of_kept = kept.iter().any(|k| {
-            let k_set: HashSet<usize> = k.signature.iter().copied().collect();
-            c_set.is_subset(&k_set)
-        });
-        if !subset_of_kept {
-            kept.push(c);
+        let set = pc_set(&c.signature);
+        if !kept.iter().any(|(k, _)| is_subset(&set, k)) {
+            kept.push((set, c));
         }
     }
-    kept
+    kept.into_iter().map(|(_, c)| c.clone()).collect()
 }
 
 /// Merge unique candidates whose static signatures overlap heavily
@@ -208,46 +301,44 @@ pub fn filter_unique(candidates: &[Candidate]) -> Vec<Candidate> {
 /// `threshold`; merging unions the signatures and sums the weights.
 pub fn merge_overlapping(candidates: &[Candidate], threshold: f64) -> Vec<Candidate> {
     let mut pool: Vec<Candidate> = candidates.to_vec();
-    loop {
-        let mut merged_any = false;
-        'outer: for i in 0..pool.len() {
-            for j in i + 1..pool.len() {
-                let a: HashSet<usize> = pool[i].signature.iter().copied().collect();
-                let b: HashSet<usize> = pool[j].signature.iter().copied().collect();
-                let inter = a.intersection(&b).count();
-                let union = a.union(&b).count();
-                if union == 0 {
-                    continue;
-                }
-                let jaccard = inter as f64 / union as f64;
-                if jaccard >= threshold {
-                    let second = pool.remove(j);
-                    let first = &mut pool[i];
-                    let mut sig: Vec<usize> = a.union(&b).copied().collect();
-                    sig.sort_unstable();
-                    // Union of vertex sets; weight of the union counted
-                    // once per vertex.
-                    let mut verts: Vec<VertexId> = first
-                        .vertices
-                        .iter()
-                        .chain(second.vertices.iter())
-                        .copied()
-                        .collect();
-                    verts.sort_unstable();
-                    verts.dedup();
-                    first.vertices = verts;
-                    first.signature = sig;
-                    first.num_inputs = first.num_inputs.max(second.num_inputs);
-                    first.weight = first.weight.max(second.weight);
-                    merged_any = true;
-                    break 'outer;
-                }
-            }
-        }
-        if !merged_any {
-            return pool;
-        }
+    let mut sets: Vec<Vec<usize>> = pool.iter().map(|c| pc_set(&c.signature)).collect();
+    // Merge the first overlapping pair, then rescan from the start.
+    while let Some((i, j)) = first_overlap(&sets, threshold) {
+        let second = pool.remove(j);
+        let second_set = sets.remove(j);
+        let mut sig = [sets[i].as_slice(), &second_set].concat();
+        sig.sort_unstable();
+        sig.dedup();
+        let first = &mut pool[i];
+        // Union of vertex sets; weight of the union counted once per
+        // vertex.
+        let mut verts: Vec<VertexId> = first
+            .vertices
+            .iter()
+            .chain(second.vertices.iter())
+            .copied()
+            .collect();
+        verts.sort_unstable();
+        verts.dedup();
+        first.vertices = verts;
+        first.signature = sig.clone();
+        first.num_inputs = first.num_inputs.max(second.num_inputs);
+        first.weight = first.weight.max(second.weight);
+        sets[i] = sig;
     }
+    pool
+}
+
+/// The first pair `(i, j)`, `i < j`, whose signature sets have Jaccard
+/// similarity of at least `threshold`.
+fn first_overlap(sets: &[Vec<usize>], threshold: f64) -> Option<(usize, usize)> {
+    (0..sets.len())
+        .flat_map(|i| (i + 1..sets.len()).map(move |j| (i, j)))
+        .find(|&(i, j)| {
+            let inter = intersection_len(&sets[i], &sets[j]);
+            let union = sets[i].len() + sets[j].len() - inter;
+            union != 0 && inter as f64 / union as f64 >= threshold
+        })
 }
 
 /// Produce the Table 1 summary for one benchmark's DDDG.
@@ -260,11 +351,19 @@ pub fn analyze(g: &Dddg, cfg: &SearchConfig) -> AnalysisSummary {
         unique.iter().map(Candidate::ci_ratio).sum::<f64>() / unique.len() as f64
     };
     // Coverage: weight of vertices belonging to any dynamic candidate.
-    let mut covered: HashSet<VertexId> = HashSet::new();
+    let mut covered = vec![false; g.len()];
     for c in &dynamic {
-        covered.extend(c.vertices.iter().copied());
+        for &v in &c.vertices {
+            covered[v] = true;
+        }
     }
-    let covered_weight: u64 = covered.iter().map(|&v| g.vertices[v].weight).sum();
+    let covered_weight: u64 = g
+        .vertices
+        .iter()
+        .zip(&covered)
+        .filter(|(_, &c)| c)
+        .map(|(v, _)| v.weight)
+        .sum();
     let total = g.total_weight();
     AnalysisSummary {
         total_dynamic_subgraphs: dynamic.len(),
@@ -281,10 +380,11 @@ pub fn analyze(g: &Dddg, cfg: &SearchConfig) -> AnalysisSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dddg::Vertex;
     use crate::trace::TraceCapture;
     use axmemo_sim::builder::ProgramBuilder;
     use axmemo_sim::cpu::{Machine, SimConfig, Simulator};
-    use axmemo_sim::ir::{Cond, FBinOp, FUnOp, IAluOp, MemWidth, Operand};
+    use axmemo_sim::ir::{Cond, FBinOp, FUnOp, IAluOp, Inst, MemWidth, Operand};
     use axmemo_sim::pipeline::LatencyModel;
 
     fn dddg_of(build: impl FnOnce(&mut ProgramBuilder)) -> Dddg {
@@ -412,6 +512,259 @@ mod tests {
         let cands = vec![mk(vec![1, 2]), mk(vec![2, 3])];
         let merged = merge_overlapping(&cands, 0.99);
         assert_eq!(merged.len(), 2);
+    }
+
+    /// The original quadratic growth, kept as the oracle for the
+    /// incremental one: it re-measures `S` after every added vertex and
+    /// rescans `S` from the start for the next ready producer.
+    fn reference_grow_from(g: &Dddg, output: VertexId, cfg: &SearchConfig) -> Option<Candidate> {
+        let mut in_s: HashSet<VertexId> = HashSet::from([output]);
+        let mut order: Vec<VertexId> = vec![output];
+        let mut best: Option<(f64, usize)> = None; // (ratio, order length)
+
+        loop {
+            let (inputs, weight) = reference_measure(g, &in_s);
+            if inputs <= cfg.max_inputs && order.len() >= cfg.min_vertices {
+                let ratio = weight as f64 / inputs.max(1) as f64;
+                if best.map(|(r, _)| ratio > r).unwrap_or(true) {
+                    best = Some((ratio, order.len()));
+                }
+            }
+            let next = order.iter().find_map(|&v| {
+                g.vertices[v].inputs.iter().copied().find(|p| {
+                    !in_s.contains(p) && g.vertices[*p].outputs.iter().all(|c| in_s.contains(c))
+                })
+            });
+            match next {
+                Some(p) => {
+                    in_s.insert(p);
+                    order.push(p);
+                }
+                None => break,
+            }
+        }
+
+        let (_, keep) = best?;
+        let kept: HashSet<VertexId> = order[..keep].iter().copied().collect();
+        let (inputs, weight) = reference_measure(g, &kept);
+        let mut vertices: Vec<VertexId> = kept.into_iter().collect();
+        vertices.sort_unstable();
+        let mut signature: Vec<usize> = vertices.iter().map(|&v| g.vertices[v].pc).collect();
+        signature.sort_unstable();
+        let cand = Candidate {
+            vertices,
+            output,
+            num_inputs: inputs,
+            weight,
+            signature,
+        };
+        (cand.ci_ratio() >= cfg.min_ci_ratio).then_some(cand)
+    }
+
+    /// External inputs and total weight of a vertex set, from scratch.
+    fn reference_measure(g: &Dddg, s: &HashSet<VertexId>) -> (usize, u64) {
+        let mut ext: std::collections::BTreeSet<VertexId> = Default::default();
+        let mut weight = 0;
+        let mut load_inputs = 0usize;
+        for &v in s {
+            weight += g.vertices[v].weight;
+            for &p in &g.vertices[v].inputs {
+                if !s.contains(&p) {
+                    ext.insert(p);
+                }
+            }
+            if g.vertices[v].is_load {
+                load_inputs += 1;
+            }
+        }
+        (ext.len() + load_inputs, weight)
+    }
+
+    fn reference_find_candidates(g: &Dddg, cfg: &SearchConfig) -> Vec<Candidate> {
+        (0..g.len())
+            .filter_map(|v| reference_grow_from(g, v, cfg))
+            .collect()
+    }
+
+    /// SplitMix64, so generated graphs are reproducible from the seed.
+    struct SplitMix64(u64);
+
+    impl SplitMix64 {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        /// Uniform in `0..n` (`n > 0`).
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// A random DAG in topological order. Producers are drawn from a few
+    /// hubs (wide fan-out) or from recent vertices (chains and diamonds);
+    /// about a third of the vertices are loads, and some consumers list
+    /// a producer again as a later input. Static pcs come from a small
+    /// pool so that signatures repeat.
+    fn random_dag(seed: u64) -> Dddg {
+        let mut rng = SplitMix64(seed);
+        let n = 1 + rng.below(48) as usize;
+        let hubs = 1 + rng.below(4) as usize;
+        let max_fan_in = 1 + rng.below(4);
+        let mut g = Dddg::default();
+        for i in 0..n {
+            let mut inputs: Vec<VertexId> = Vec::new();
+            if i > 0 {
+                for _ in 0..rng.below(max_fan_in + 1) {
+                    let p = if rng.below(3) == 0 {
+                        rng.below(hubs.min(i) as u64) as usize
+                    } else {
+                        i - 1 - rng.below(i.min(4) as u64) as usize
+                    };
+                    if !inputs.contains(&p) {
+                        inputs.push(p);
+                    }
+                }
+                if !inputs.is_empty() && rng.below(6) == 0 {
+                    inputs.push(inputs[rng.below(inputs.len() as u64) as usize]);
+                }
+            }
+            g.vertices.push(Vertex {
+                pc: rng.below(8) as usize,
+                // Only the dot export reads the instruction.
+                inst: Inst::Halt,
+                // Mostly cheap vertices with a few expensive ones, so the
+                // best prefix often stops short of the whole cone.
+                weight: if rng.below(4) == 0 {
+                    20 + rng.below(40)
+                } else {
+                    1 + rng.below(3)
+                },
+                inputs,
+                outputs: Vec::new(),
+                value: 0,
+                is_load: rng.below(3) == 0,
+            });
+        }
+        for c in 0..n {
+            for k in 0..g.vertices[c].inputs.len() {
+                let p = g.vertices[c].inputs[k];
+                g.vertices[p].outputs.push(c);
+            }
+        }
+        g
+    }
+
+    #[test]
+    fn incremental_search_matches_reference_on_generated_dags() {
+        let mut nonempty = 0;
+        for seed in 0..500u64 {
+            let g = random_dag(seed);
+            for max_inputs in [0, 1, 16] {
+                for min_vertices in [1, 3] {
+                    let cfg = SearchConfig {
+                        max_inputs,
+                        min_ci_ratio: if seed % 2 == 0 { 0.0 } else { 4.0 },
+                        min_vertices,
+                    };
+                    let got = find_candidates(&g, &cfg);
+                    let want = reference_find_candidates(&g, &cfg);
+                    assert_eq!(
+                        got, want,
+                        "seed {seed}, max_inputs {max_inputs}, min_vertices {min_vertices}"
+                    );
+                    nonempty += usize::from(!got.is_empty());
+                }
+            }
+        }
+        // The generator must exercise the search, not just empty graphs.
+        assert!(nonempty > 1500, "only {nonempty} non-empty searches");
+    }
+
+    #[test]
+    fn incremental_search_matches_reference_on_traced_blocks() {
+        let g = dddg_of(expensive_block);
+        let cfg = SearchConfig {
+            min_ci_ratio: 0.0,
+            min_vertices: 1,
+            ..SearchConfig::default()
+        };
+        assert_eq!(
+            find_candidates(&g, &cfg),
+            reference_find_candidates(&g, &cfg)
+        );
+    }
+
+    #[test]
+    fn ready_producers_join_in_first_sighting_order() {
+        // r reads [a, b, c]; c reads a; b reads d; d is a load of e,
+        // which x also reads. After r joins, b and c are ready; b's join
+        // makes d ready, then c's join makes a ready. First sighting puts
+        // a (sighted by r) before d (sighted by b); a FIFO of ready
+        // producers would take d first.
+        let mk = |inputs: Vec<VertexId>, is_load: bool| Vertex {
+            pc: 0,
+            inst: Inst::Halt,
+            weight: 10,
+            inputs,
+            outputs: Vec::new(),
+            value: 0,
+            is_load,
+        };
+        let (a, e, d, b, c, r, x) = (0, 1, 2, 3, 4, 5, 6);
+        let mut g = Dddg {
+            vertices: vec![
+                mk(vec![], false),
+                mk(vec![], false),
+                mk(vec![e], true),
+                mk(vec![d], false),
+                mk(vec![a], false),
+                mk(vec![a, b, c], false),
+                mk(vec![e], false),
+            ],
+        };
+        g.vertices[a].outputs = vec![c, r];
+        g.vertices[e].outputs = vec![d, x];
+        g.vertices[d].outputs = vec![b];
+        g.vertices[b].outputs = vec![r];
+        g.vertices[c].outputs = vec![r];
+        // {r, b, c, a} has one input (d); {r, b, c, d} has three (a, e
+        // and d's load), and so does every later prefix.
+        let cfg = SearchConfig {
+            max_inputs: 1,
+            min_ci_ratio: 0.0,
+            min_vertices: 4,
+        };
+        let cands = find_candidates(&g, &cfg);
+        let root = cands.iter().find(|c| c.output == r).unwrap();
+        assert_eq!(root.vertices, vec![a, b, c, r]);
+        assert_eq!(root.num_inputs, 1);
+        assert_eq!(cands, reference_find_candidates(&g, &cfg));
+    }
+
+    #[test]
+    fn filter_unique_keeps_first_instance_in_input_order() {
+        let mk = |output: VertexId, sig: Vec<usize>| Candidate {
+            vertices: vec![output],
+            output,
+            num_inputs: 1,
+            weight: 10,
+            signature: sig,
+        };
+        // Repeated pcs are one set: [5, 5, 6] ⊆ [5, 6, 7, 8].
+        let cands = vec![
+            mk(0, vec![1, 2]),
+            mk(1, vec![5, 5, 6]),
+            mk(2, vec![1, 2]),
+            mk(3, vec![3, 4]),
+            mk(4, vec![5, 6, 7, 8]),
+        ];
+        let unique = filter_unique(&cands);
+        let outputs: Vec<VertexId> = unique.iter().map(|c| c.output).collect();
+        assert_eq!(outputs, vec![4, 0, 3]);
     }
 
     #[test]
