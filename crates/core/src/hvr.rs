@@ -4,8 +4,7 @@
 //! acting as the hardware context of the CRC calculation when the
 //! processor interleaves inputs destined for different logical LUTs (or
 //! from different SMT threads). `{LUT_ID, TID}` is the architectural name
-//! of a register; out-of-order cores would rename these, which we model
-//! with a simple checkpoint/restore interface.
+//! of a register; the modelled in-order core needs no renaming.
 
 use crate::crc::{CrcAlgorithm, CrcState};
 use crate::ids::{LutId, ThreadId, MAX_LUTS};
@@ -46,7 +45,7 @@ impl HashValueRegisters {
         }
     }
 
-    /// Number of physical registers.
+    /// Number of registers.
     pub fn len(&self) -> usize {
         self.regs.len()
     }
@@ -54,14 +53,6 @@ impl HashValueRegisters {
     /// Whether the file is empty (never true for a valid construction).
     pub fn is_empty(&self) -> bool {
         self.regs.is_empty()
-    }
-
-    /// Total bits of register state (for the area model).
-    pub fn state_bits(&self) -> usize {
-        self.regs
-            .first()
-            .map(|s| s.width().bits() as usize * self.regs.len())
-            .unwrap_or(0)
     }
 
     fn slot(&self, lut: LutId, tid: ThreadId) -> usize {
@@ -87,35 +78,6 @@ impl HashValueRegisters {
         self.regs[i] = crc.init();
         v
     }
-
-    /// Read the finalised value without resetting (used by `update`,
-    /// which must observe the same CRC the preceding `lookup` computed —
-    /// the unit latches it; see [`crate::unit::MemoizationUnit`]).
-    pub fn peek(&self, crc: &dyn CrcAlgorithm, lut: LutId, tid: ThreadId) -> u64 {
-        crc.finalize(self.regs[self.slot(lut, tid)])
-    }
-
-    /// Reset one register (abandoning a partially-hashed input set).
-    pub fn reset(&mut self, crc: &dyn CrcAlgorithm, lut: LutId, tid: ThreadId) {
-        let i = self.slot(lut, tid);
-        self.regs[i] = crc.init();
-    }
-
-    /// Snapshot the whole file (rename/checkpoint support for
-    /// out-of-order integration).
-    pub fn checkpoint(&self) -> Vec<CrcState> {
-        self.regs.clone()
-    }
-
-    /// Restore a snapshot taken with [`Self::checkpoint`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot length does not match this file.
-    pub fn restore(&mut self, snapshot: &[CrcState]) {
-        assert_eq!(snapshot.len(), self.regs.len(), "snapshot size mismatch");
-        self.regs.copy_from_slice(snapshot);
-    }
 }
 
 #[cfg(test)]
@@ -133,7 +95,6 @@ mod tests {
     fn sized_per_paper_example() {
         let (_, hvr) = setup();
         assert_eq!(hvr.len(), 16);
-        assert_eq!(hvr.state_bits(), 16 * 32);
         assert!(!hvr.is_empty());
     }
 
@@ -169,29 +130,6 @@ mod tests {
         let first = hvr.take(&crc, lut, t);
         hvr.accumulate(&crc, lut, t, b"first");
         assert_eq!(hvr.take(&crc, lut, t), first);
-    }
-
-    #[test]
-    fn peek_is_nondestructive() {
-        let (crc, mut hvr) = setup();
-        let (lut, t) = (LutId::new(4).unwrap(), ThreadId(1));
-        hvr.accumulate(&crc, lut, t, b"xyz");
-        let p = hvr.peek(&crc, lut, t);
-        assert_eq!(p, hvr.peek(&crc, lut, t));
-        assert_eq!(p, hvr.take(&crc, lut, t));
-    }
-
-    #[test]
-    fn checkpoint_restore_roundtrip() {
-        let (crc, mut hvr) = setup();
-        let (lut, t) = (LutId::new(0).unwrap(), ThreadId(0));
-        hvr.accumulate(&crc, lut, t, b"partial");
-        let snap = hvr.checkpoint();
-        hvr.accumulate(&crc, lut, t, b" state");
-        let with_more = hvr.peek(&crc, lut, t);
-        hvr.restore(&snap);
-        hvr.accumulate(&crc, lut, t, b" state");
-        assert_eq!(hvr.peek(&crc, lut, t), with_more);
     }
 
     #[test]

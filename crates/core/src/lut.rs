@@ -442,16 +442,12 @@ impl LutArray {
     /// index. Restoring the entries in this order through
     /// [`Self::restore_entry`] reproduces the relative recency of the
     /// source array.
-    pub fn export_entries(&self) -> Vec<ExportedEntry> {
-        self.export_entries_counted().0
-    }
-
-    /// [`Self::export_entries`] plus the count of stored records that
-    /// could not be exported because their stored `lut_id` was out of
-    /// range (an SEU in the LUT_ID tag bits — see
-    /// [`Self::corrupt_stored_lut_id`]). Corrupt records are skipped
-    /// and counted, never a panic.
-    pub fn export_entries_counted(&self) -> (Vec<ExportedEntry>, u64) {
+    ///
+    /// Also returns the count of stored records that could not be
+    /// exported because their stored `lut_id` was out of range (an SEU
+    /// in the LUT_ID tag bits — see [`Self::corrupt_stored_lut_id`]).
+    /// Corrupt records are skipped and counted, never a panic.
+    pub fn export_entries(&self) -> (Vec<ExportedEntry>, u64) {
         let ways = self.geometry.ways;
         let mut skipped = 0u64;
         let mut out: Vec<(u64, ExportedEntry)> = Vec::with_capacity(self.occupancy());
@@ -813,7 +809,7 @@ mod tests {
             src.insert(id((i % 3) as u8), i * 37, i);
         }
         src.lookup(id(0), 0); // refresh entry 0: it must survive a later evict
-        let exported = src.export_entries();
+        let (exported, _) = src.export_entries();
         assert_eq!(exported.len(), src.occupancy());
 
         let mut dst = LutArray::new(src.geometry());
@@ -827,7 +823,7 @@ mod tests {
         // Stats stay untouched: restores are not inserts (double-count pin).
         assert_eq!(dst.stats(), LutStats::default());
         // LRU order carried over: exported order is oldest-first.
-        let re = dst.export_entries();
+        let (re, _) = dst.export_entries();
         assert_eq!(re, exported);
     }
 
@@ -839,7 +835,7 @@ mod tests {
         for i in 0..9u64 {
             src.insert(id(0), i, i * 10);
         }
-        let exported = src.export_entries();
+        let (exported, _) = src.export_entries();
         assert_eq!(exported.len(), 9);
         let mut dst = LutArray::new(LutGeometry::from_capacity(64, DataWidth::W4));
         let kept = exported

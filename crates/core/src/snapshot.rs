@@ -2,11 +2,10 @@
 //!
 //! A production memo-service's most valuable asset is its warm LUT;
 //! this module makes it survive restarts. [`MemoSnapshot`] captures the
-//! [`crate::two_level::TwoLevelLut`] contents (L1 + L2 entries plus donor statistics),
-//! the [`AdaptiveTruncation`] controller and the [`QualityMonitor`]
-//! ladder position into a versioned, section-based binary format, and
-//! [`MemoSnapshot::recover`] rebuilds as much of that state as the
-//! bytes allow.
+//! [`crate::two_level::TwoLevelLut`] contents (L1 + L2 entries plus donor statistics)
+//! and the [`QualityMonitor`] ladder position into a versioned,
+//! section-based binary format, and [`MemoSnapshot::recover`] rebuilds
+//! as much of that state as the bytes allow.
 //!
 //! # Format (version 1, all little-endian)
 //!
@@ -40,21 +39,22 @@
 //! - A **payload** whose CRC fails is salvaged record-by-record for
 //!   entry sections (each record carries its own CRC; corrupt records
 //!   are discarded, intact ones restored) and discarded whole for
-//!   scalar sections (controller/monitor state is all-or-nothing).
+//!   scalar sections (geometry, stats and monitor state are
+//!   all-or-nothing).
 //! - A truncated final payload keeps its valid record prefix and
 //!   discards the torn tail.
 //!
 //! Every decision is counted and event-logged through
 //! [`axmemo_telemetry::Telemetry`], and publication is atomic: the
-//! writer streams to a `.tmp` sibling, syncs, then renames, so readers
-//! see either the old snapshot or the new one, never a torn file.
+//! writer streams to a `.tmp` sibling, syncs, renames, then syncs the
+//! parent directory, so readers see either the old snapshot or the new
+//! one, never a torn file, and the rename itself survives power loss.
 //! [`CrashPoint`] provides the seeded kill-at-random-point injector the
 //! recovery tests sweep.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-use crate::adaptive::{AdaptiveConfig, AdaptiveState, AdaptiveTruncation};
 use crate::crc::{CrcAlgorithm, CrcWidth, TableCrc};
 use crate::ids::LutId;
 use crate::lut::{ExportedEntry, LutStats};
@@ -77,7 +77,8 @@ const TAG_GEOMETRY: u32 = 1;
 const TAG_L1_ENTRIES: u32 = 2;
 const TAG_L2_ENTRIES: u32 = 3;
 const TAG_LUT_STATS: u32 = 4;
-const TAG_ADAPTIVE: u32 = 5;
+// Tag 5 is retired: it held runtime truncation-controller state that no
+// writer emits any more. Readers skip it as an unknown tag; never reuse it.
 const TAG_QUALITY: u32 = 6;
 
 fn section_name(tag: u32) -> &'static str {
@@ -86,7 +87,6 @@ fn section_name(tag: u32) -> &'static str {
         TAG_L1_ENTRIES => "l1_entries",
         TAG_L2_ENTRIES => "l2_entries",
         TAG_LUT_STATS => "lut_stats",
-        TAG_ADAPTIVE => "adaptive",
         TAG_QUALITY => "quality",
         _ => "unknown",
     }
@@ -241,8 +241,6 @@ pub struct RecoveryReport {
     pub l2_entries_restored: u64,
     /// L2 entry records discarded.
     pub l2_entries_discarded: u64,
-    /// Whether the adaptive-truncation controller state was recovered.
-    pub adaptive_restored: bool,
     /// Whether the quality-monitor state was recovered.
     pub quality_restored: bool,
     /// Parsing stopped before the promised section count (truncated
@@ -264,7 +262,6 @@ impl RecoveryReport {
             l1_entries_discarded: 0,
             l2_entries_restored: 0,
             l2_entries_discarded: 0,
-            adaptive_restored: false,
             quality_restored: false,
             torn_tail: false,
             applied: None,
@@ -377,35 +374,23 @@ pub struct MemoSnapshot {
     pub l1_stats: Option<LutStats>,
     /// Donor run's L2 statistics (informational).
     pub l2_stats: Option<LutStats>,
-    /// Adaptive-truncation controller state, when one was active.
-    pub adaptive: Option<AdaptiveState>,
     /// Quality-monitor ladder state.
     pub quality: Option<QualityState>,
 }
 
 impl MemoSnapshot {
     /// Capture the warm state of a LUT hierarchy plus the optional
-    /// controllers that steer it.
-    pub fn capture(
-        lut: &TwoLevelLut,
-        adaptive: Option<&AdaptiveTruncation>,
-        quality: Option<&QualityMonitor>,
-    ) -> Self {
-        Self::capture_tel(lut, adaptive, quality, &mut Telemetry::off())
-    }
-
-    /// [`Self::capture`] with telemetry: stored records skipped because
+    /// quality monitor that steers it. Stored records skipped because
     /// their state was corrupt (an out-of-range stored `lut_id` — a
     /// fault the export path degrades through rather than panics on)
     /// are counted into `snapshot.capture.bad_records`.
-    pub fn capture_tel(
+    pub fn capture(
         lut: &TwoLevelLut,
-        adaptive: Option<&AdaptiveTruncation>,
         quality: Option<&QualityMonitor>,
         tel: &mut Telemetry,
     ) -> Self {
-        let (l1_entries, l1_skipped) = lut.export_l1_counted();
-        let (l2_entries, l2_skipped) = lut.export_l2_counted();
+        let (l1_entries, l1_skipped) = lut.export_l1_entries();
+        let (l2_entries, l2_skipped) = lut.export_l2_entries();
         if l1_skipped + l2_skipped > 0 {
             tel.count("snapshot.capture.bad_records", l1_skipped + l2_skipped);
         }
@@ -415,7 +400,6 @@ impl MemoSnapshot {
             l2_entries,
             l1_stats: Some(lut.l1_stats()),
             l2_stats: Some(lut.l2_stats()),
-            adaptive: adaptive.map(AdaptiveTruncation::export_state),
             quality: quality.map(QualityMonitor::export_state),
         }
     }
@@ -438,50 +422,19 @@ impl MemoSnapshot {
                 ),
             ));
         }
-        if let Some(a) = &self.adaptive {
-            sections.push((TAG_ADAPTIVE, encode_adaptive(a)));
-        }
         if let Some(q) = &self.quality {
             sections.push((TAG_QUALITY, encode_quality(q)));
         }
-
-        let mut out = Vec::with_capacity(
-            FILE_HEADER_BYTES
-                + sections
-                    .iter()
-                    .map(|(_, p)| SECTION_HEADER_BYTES + p.len())
-                    .sum::<usize>(),
-        );
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        out.extend_from_slice(&(sections.len() as u32).to_le_bytes());
-        let header_crc = crc32(&crc, &out[..16]);
-        out.extend_from_slice(&header_crc.to_le_bytes());
-        for (tag, payload) in &sections {
-            let mut header = Vec::with_capacity(SECTION_HEADER_BYTES);
-            header.extend_from_slice(&tag.to_le_bytes());
-            header.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-            header.extend_from_slice(&crc32(&crc, payload).to_le_bytes());
-            let hcrc = crc32(&crc, &header);
-            header.extend_from_slice(&hcrc.to_le_bytes());
-            out.extend_from_slice(&header);
-            out.extend_from_slice(payload);
-        }
-        out
+        frame(&crc, &sections)
     }
 
     /// Decode a snapshot, salvaging whatever the bytes allow. Never
     /// panics and never fails: unrecoverable content (bad magic,
     /// corrupt file header, unsupported version) yields `(None,
-    /// report)` with the cold-start reason recorded.
-    pub fn recover(bytes: &[u8]) -> (Option<Self>, RecoveryReport) {
-        Self::recover_tel(bytes, &mut Telemetry::off())
-    }
-
-    /// [`Self::recover`] with telemetry: every per-section decision is
-    /// counted (`snapshot.restore.*`) and emitted as a
+    /// report)` with the cold-start reason recorded. Every per-section
+    /// decision is counted (`snapshot.restore.*`) and emitted as a
     /// `snapshot.section` event; the net outcome as `snapshot.restore`.
-    pub fn recover_tel(bytes: &[u8], tel: &mut Telemetry) -> (Option<Self>, RecoveryReport) {
+    pub fn recover(bytes: &[u8], tel: &mut Telemetry) -> (Option<Self>, RecoveryReport) {
         let (snap, report) = decode(bytes);
         for s in &report.sections {
             let (disposition, detail) = match &s.disposition {
@@ -546,19 +499,15 @@ impl MemoSnapshot {
 
     /// Write the snapshot to `path` with atomic publication: the bytes
     /// stream to a `.tmp` sibling, are synced to disk, then renamed
-    /// into place. A crash mid-write leaves the previous snapshot (or
-    /// no file) — never a torn one. Returns the bytes written.
+    /// into place, and on unix the parent directory is synced so the
+    /// rename is durable too. A crash mid-write leaves the previous
+    /// snapshot (or no file) — never a torn one. Returns the bytes
+    /// written; emits a `snapshot.write` event and byte/entry counters.
     ///
     /// # Errors
     ///
     /// [`SnapshotError::Io`] naming the path and operation that failed.
-    pub fn write_atomic(&self, path: &Path) -> Result<u64, SnapshotError> {
-        self.write_atomic_tel(path, &mut Telemetry::off())
-    }
-
-    /// [`Self::write_atomic`] with telemetry (`snapshot.write` event,
-    /// byte/section counters).
-    pub fn write_atomic_tel(&self, path: &Path, tel: &mut Telemetry) -> Result<u64, SnapshotError> {
+    pub fn write_atomic(&self, path: &Path, tel: &mut Telemetry) -> Result<u64, SnapshotError> {
         use std::io::Write as _;
         let bytes = self.encode();
         let mut tmp = path.as_os_str().to_owned();
@@ -573,6 +522,19 @@ impl MemoSnapshot {
         file.sync_all().map_err(io_err(&tmp, "sync"))?;
         drop(file);
         std::fs::rename(&tmp, path).map_err(io_err(path, "rename"))?;
+        // The rename lives in the directory's metadata: without syncing
+        // the directory, power loss can undo it even though the file's
+        // bytes are on disk.
+        #[cfg(unix)]
+        {
+            let dir = match path.parent() {
+                Some(p) if !p.as_os_str().is_empty() => p,
+                _ => Path::new("."),
+            };
+            std::fs::File::open(dir)
+                .and_then(|d| d.sync_all())
+                .map_err(io_err(dir, "sync"))?;
+        }
         tel.count("snapshot.write.bytes", bytes.len() as u64);
         tel.count(
             "snapshot.write.entries",
@@ -592,19 +554,14 @@ impl MemoSnapshot {
         Ok(bytes.len() as u64)
     }
 
-    /// Read and recover a snapshot file.
+    /// Read and recover a snapshot file (see [`Self::recover`]).
     ///
     /// # Errors
     ///
     /// Only filesystem-level failures (missing file, permissions)
     /// return [`SnapshotError`]; corrupt *content* is salvaged or
     /// reported as a cold start in the [`RecoveryReport`].
-    pub fn load(path: &Path) -> Result<(Option<Self>, RecoveryReport), SnapshotError> {
-        Self::load_tel(path, &mut Telemetry::off())
-    }
-
-    /// [`Self::load`] with telemetry (see [`Self::recover_tel`]).
-    pub fn load_tel(
+    pub fn load(
         path: &Path,
         tel: &mut Telemetry,
     ) -> Result<(Option<Self>, RecoveryReport), SnapshotError> {
@@ -613,13 +570,41 @@ impl MemoSnapshot {
             op: "read",
             source,
         })?;
-        Ok(Self::recover_tel(&bytes, tel))
+        Ok(Self::recover(&bytes, tel))
     }
 }
 
 // ---------------------------------------------------------------------
 // Encoding
 // ---------------------------------------------------------------------
+
+/// Frame `(tag, payload)` sections into a version-1 stream: file header,
+/// then each section header (with payload CRC) followed by its payload.
+fn frame(crc: &TableCrc, sections: &[(u32, Vec<u8>)]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(
+        FILE_HEADER_BYTES
+            + sections
+                .iter()
+                .map(|(_, p)| SECTION_HEADER_BYTES + p.len())
+                .sum::<usize>(),
+    );
+    out.extend_from_slice(&MAGIC);
+    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+    out.extend_from_slice(&(sections.len() as u32).to_le_bytes());
+    let header_crc = crc32(crc, &out[..16]);
+    out.extend_from_slice(&header_crc.to_le_bytes());
+    for (tag, payload) in sections {
+        let mut header = Vec::with_capacity(SECTION_HEADER_BYTES);
+        header.extend_from_slice(&tag.to_le_bytes());
+        header.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        header.extend_from_slice(&crc32(crc, payload).to_le_bytes());
+        let hcrc = crc32(crc, &header);
+        header.extend_from_slice(&hcrc.to_le_bytes());
+        out.extend_from_slice(&header);
+        out.extend_from_slice(payload);
+    }
+    out
+}
 
 fn encode_geometry(geo: &SnapshotGeometry) -> Vec<u8> {
     let mut p = Vec::with_capacity(37);
@@ -652,27 +637,6 @@ fn encode_stats(l1: LutStats, l2: LutStats) -> Vec<u8> {
         for v in [s.hits, s.misses, s.inserts, s.evictions, s.invalidations] {
             p.extend_from_slice(&v.to_le_bytes());
         }
-    }
-    p
-}
-
-fn encode_adaptive(a: &AdaptiveState) -> Vec<u8> {
-    let mut p = Vec::new();
-    p.extend_from_slice(&a.config.target_error.to_le_bytes());
-    p.extend_from_slice(&a.config.raise_margin.to_le_bytes());
-    p.extend_from_slice(&a.config.normal_window.to_le_bytes());
-    p.extend_from_slice(&a.config.profile_window.to_le_bytes());
-    p.extend_from_slice(&a.config.min_bits.to_le_bytes());
-    p.extend_from_slice(&a.config.max_bits.to_le_bytes());
-    p.extend_from_slice(&a.bits.to_le_bytes());
-    p.push(u8::from(a.profiling));
-    p.extend_from_slice(&a.remaining.to_le_bytes());
-    p.extend_from_slice(&a.err_sum.to_le_bytes());
-    p.extend_from_slice(&a.err_count.to_le_bytes());
-    p.extend_from_slice(&(a.history.len() as u64).to_le_bytes());
-    for (bits, err) in &a.history {
-        p.extend_from_slice(&bits.to_le_bytes());
-        p.extend_from_slice(&err.to_le_bytes());
     }
     p
 }
@@ -794,7 +758,6 @@ fn decode(bytes: &[u8]) -> (Option<MemoSnapshot>, RecoveryReport) {
         l1_entries_discarded: 0,
         l2_entries_restored: 0,
         l2_entries_discarded: 0,
-        adaptive_restored: false,
         quality_restored: false,
         torn_tail: false,
         applied: None,
@@ -886,16 +849,6 @@ fn decode(bytes: &[u8]) -> (Option<MemoSnapshot>, RecoveryReport) {
                 }
                 None => SectionDisposition::Discarded {
                     reason: "stats payload malformed".into(),
-                },
-            },
-            TAG_ADAPTIVE => match decode_adaptive(payload) {
-                Some(a) => {
-                    snap.adaptive = Some(a);
-                    report.adaptive_restored = true;
-                    SectionDisposition::Salvaged
-                }
-                None => SectionDisposition::Discarded {
-                    reason: "adaptive payload malformed".into(),
                 },
             },
             TAG_QUALITY => match decode_quality(payload) {
@@ -1011,47 +964,6 @@ fn decode_stats(payload: &[u8]) -> Option<(LutStats, LutStats)> {
     Some((l1, l2))
 }
 
-fn decode_adaptive(payload: &[u8]) -> Option<AdaptiveState> {
-    let mut r = Reader::new(payload);
-    let config = AdaptiveConfig {
-        target_error: r.f64()?,
-        raise_margin: r.f64()?,
-        normal_window: r.u64()?,
-        profile_window: r.u64()?,
-        min_bits: r.u32()?,
-        max_bits: r.u32()?,
-    };
-    let bits = r.u32()?;
-    let profiling = r.u8()? != 0;
-    let remaining = r.u64()?;
-    let err_sum = r.f64()?;
-    let err_count = r.u64()?;
-    let history_len = r.u64()?;
-    // A plausibility bound: each pair costs 12 bytes, so the length can
-    // never exceed the remaining payload.
-    if history_len > (payload.len() as u64) / 12 {
-        return None;
-    }
-    let mut history = Vec::with_capacity(history_len as usize);
-    for _ in 0..history_len {
-        let bits = r.u32()?;
-        let err = r.f64()?;
-        history.push((bits, err));
-    }
-    if !r.done() {
-        return None;
-    }
-    Some(AdaptiveState {
-        config,
-        bits,
-        profiling,
-        remaining,
-        err_sum,
-        err_count,
-        history,
-    })
-}
-
 fn decode_quality(payload: &[u8]) -> Option<QualityState> {
     let mut r = Reader::new(payload);
     let stage = stage_from_u8(r.u8()?)?;
@@ -1110,11 +1022,12 @@ pub enum CrashMode {
 ///
 /// ```
 /// use axmemo_core::snapshot::{CrashMode, CrashPoint, MemoSnapshot};
+/// use axmemo_telemetry::Telemetry;
 ///
 /// let snap = MemoSnapshot::default();
 /// let mut bytes = snap.encode();
 /// CrashPoint::seeded(42, CrashMode::Truncate, bytes.len()).apply(&mut bytes);
-/// let (_state, report) = MemoSnapshot::recover(&bytes); // never panics
+/// let (_state, report) = MemoSnapshot::recover(&bytes, &mut Telemetry::off()); // never panics
 /// assert!(report.sections_expected <= 6);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1176,9 +1089,9 @@ mod tests {
     fn encode_recover_roundtrip_is_lossless() {
         let lut = warm_lut();
         let qm = QualityMonitor::new();
-        let snap = MemoSnapshot::capture(&lut, None, Some(&qm));
+        let snap = MemoSnapshot::capture(&lut, Some(&qm), &mut Telemetry::off());
         let bytes = snap.encode();
-        let (recovered, report) = MemoSnapshot::recover(&bytes);
+        let (recovered, report) = MemoSnapshot::recover(&bytes, &mut Telemetry::off());
         let recovered = recovered.expect("clean bytes restore");
         assert_eq!(recovered, snap);
         assert_eq!(report.outcome, RecoveryOutcome::Restored);
@@ -1190,11 +1103,64 @@ mod tests {
         );
     }
 
+    /// Tag 5 (retired runtime-controller state) and a future tag are
+    /// skipped by tag alone, whatever their payload, and the sections
+    /// around them restore bit for bit.
+    #[test]
+    fn retired_and_unknown_tags_are_skipped() {
+        let crc = TableCrc::new(CrcWidth::W32);
+        let lut = warm_lut();
+        let mut qm = QualityMonitor::new();
+        for i in 0..40 {
+            qm.record_comparison(1.0, 1.0 + f64::from(i) * 1e-5);
+        }
+        let snap = MemoSnapshot::capture(&lut, Some(&qm), &mut Telemetry::off());
+        let quality = snap.quality.clone().expect("captured quality state");
+        assert!(
+            !quality.window.is_empty(),
+            "test premise: non-trivial state"
+        );
+        let bytes = frame(
+            &crc,
+            &[
+                (TAG_GEOMETRY, encode_geometry(&snap.geometry.unwrap())),
+                (TAG_L1_ENTRIES, encode_entries(&crc, &snap.l1_entries)),
+                (5, (0..77u8).collect()),
+                (99, b"future extension".to_vec()),
+                (TAG_QUALITY, encode_quality(&quality)),
+            ],
+        );
+        let (state, report) = MemoSnapshot::recover(&bytes, &mut Telemetry::off());
+        assert_eq!(report.outcome, RecoveryOutcome::Restored);
+        let dispositions: Vec<_> = report
+            .sections
+            .iter()
+            .map(|s| (s.tag, s.disposition.clone()))
+            .collect();
+        assert_eq!(
+            dispositions,
+            [
+                (TAG_GEOMETRY, SectionDisposition::Salvaged),
+                (TAG_L1_ENTRIES, SectionDisposition::Salvaged),
+                (5, SectionDisposition::Skipped),
+                (99, SectionDisposition::Skipped),
+                (TAG_QUALITY, SectionDisposition::Salvaged),
+            ]
+        );
+        let state = state.expect("known sections restore");
+        assert_eq!(state.l1_entries, snap.l1_entries);
+        assert_eq!(
+            encode_quality(&state.quality.expect("quality restored")),
+            encode_quality(&quality)
+        );
+        assert!(report.quality_restored);
+    }
+
     #[test]
     fn empty_snapshot_roundtrips() {
         let snap = MemoSnapshot::default();
         let bytes = snap.encode();
-        let (recovered, report) = MemoSnapshot::recover(&bytes);
+        let (recovered, report) = MemoSnapshot::recover(&bytes, &mut Telemetry::off());
         assert_eq!(recovered, Some(snap));
         assert_eq!(report.outcome, RecoveryOutcome::Restored);
     }
@@ -1203,7 +1169,7 @@ mod tests {
     fn bad_magic_is_reported_cold_start() {
         let mut bytes = MemoSnapshot::default().encode();
         bytes[0] ^= 0xFF;
-        let (state, report) = MemoSnapshot::recover(&bytes);
+        let (state, report) = MemoSnapshot::recover(&bytes, &mut Telemetry::off());
         assert!(state.is_none());
         assert_eq!(report.outcome, RecoveryOutcome::ColdStart);
         assert_eq!(report.cold_start_reason.as_deref(), Some("bad magic"));
@@ -1216,7 +1182,7 @@ mod tests {
         bytes[8..12].copy_from_slice(&99u32.to_le_bytes());
         let fixed = crc32(&crc, &bytes[..16]);
         bytes[16..20].copy_from_slice(&fixed.to_le_bytes());
-        let (state, report) = MemoSnapshot::recover(&bytes);
+        let (state, report) = MemoSnapshot::recover(&bytes, &mut Telemetry::off());
         assert!(state.is_none());
         assert!(report
             .cold_start_reason
@@ -1228,7 +1194,7 @@ mod tests {
     #[test]
     fn flipped_entry_record_is_discarded_not_admitted() {
         let lut = warm_lut();
-        let snap = MemoSnapshot::capture(&lut, None, None);
+        let snap = MemoSnapshot::capture(&lut, None, &mut Telemetry::off());
         let mut bytes = snap.encode();
         // Flip a byte inside the first L1 entry record's data field.
         // Layout: file header, then geometry section, then L1 entries.
@@ -1236,7 +1202,7 @@ mod tests {
         let first_record =
             FILE_HEADER_BYTES + SECTION_HEADER_BYTES + geometry_payload + SECTION_HEADER_BYTES;
         bytes[first_record + 10] ^= 0x40;
-        let (state, report) = MemoSnapshot::recover(&bytes);
+        let (state, report) = MemoSnapshot::recover(&bytes, &mut Telemetry::off());
         let state = state.expect("rest of the snapshot salvages");
         assert_eq!(report.l1_entries_discarded, 1);
         assert_eq!(state.l1_entries.len(), snap.l1_entries.len() - 1);
@@ -1251,14 +1217,14 @@ mod tests {
     #[test]
     fn truncation_keeps_valid_prefix() {
         let lut = warm_lut();
-        let snap = MemoSnapshot::capture(&lut, None, None);
+        let snap = MemoSnapshot::capture(&lut, None, &mut Telemetry::off());
         let bytes = snap.encode();
         // Cut in the middle of the L2 entry section payload: the final
         // lut_stats section (20 B header + 80 B payload) disappears
         // entirely and the L2 payload loses its tail.
         let mut cut = bytes.clone();
         cut.truncate(bytes.len() - (20 + 80 + 10));
-        let (state, report) = MemoSnapshot::recover(&cut);
+        let (state, report) = MemoSnapshot::recover(&cut, &mut Telemetry::off());
         let state = state.expect("prefix salvages");
         assert!(report.torn_tail);
         assert_eq!(state.l1_entries, snap.l1_entries);
@@ -1270,12 +1236,14 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("axmemo_snap_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("unit.snap");
-        let snap = MemoSnapshot::capture(&warm_lut(), None, None);
-        let n = snap.write_atomic(&path).expect("write");
+        let snap = MemoSnapshot::capture(&warm_lut(), None, &mut Telemetry::off());
+        let n = snap
+            .write_atomic(&path, &mut Telemetry::off())
+            .expect("write");
         assert_eq!(n, snap.encode().len() as u64);
         // No temp file left behind.
         assert!(!dir.join("unit.snap.tmp").exists());
-        let (loaded, report) = MemoSnapshot::load(&path).expect("load");
+        let (loaded, report) = MemoSnapshot::load(&path, &mut Telemetry::off()).expect("load");
         assert_eq!(loaded, Some(snap));
         assert_eq!(report.outcome, RecoveryOutcome::Restored);
         std::fs::remove_dir_all(&dir).ok();
@@ -1284,7 +1252,7 @@ mod tests {
     #[test]
     fn load_missing_file_names_the_path() {
         let path = Path::new("/nonexistent/axmemo.snap");
-        let err = MemoSnapshot::load(path).unwrap_err();
+        let err = MemoSnapshot::load(path, &mut Telemetry::off()).unwrap_err();
         assert!(err.to_string().contains("/nonexistent/axmemo.snap"));
     }
 

@@ -306,94 +306,69 @@ impl TwoLevelLut {
     }
 
     /// Export the L1's valid entries in LRU order (oldest first) for
-    /// persistence ([`crate::snapshot`]).
-    pub fn export_l1_entries(&self) -> Vec<ExportedEntry> {
+    /// persistence ([`crate::snapshot`]), plus the count of corrupt
+    /// stored records skipped (see [`LutArray::export_entries`]).
+    pub fn export_l1_entries(&self) -> (Vec<ExportedEntry>, u64) {
         self.l1.export_entries()
     }
 
-    /// Export the L2's valid entries in LRU order; empty when no L2 is
+    /// Export the L2's valid entries in LRU order plus the count of
+    /// corrupt stored records skipped; `(vec![], 0)` when no L2 is
     /// configured.
-    pub fn export_l2_entries(&self) -> Vec<ExportedEntry> {
+    pub fn export_l2_entries(&self) -> (Vec<ExportedEntry>, u64) {
         self.l2
             .as_ref()
-            .map(|l2| l2.export_entries())
+            .map(LutArray::export_entries)
             .unwrap_or_default()
     }
 
-    /// [`Self::export_l1_entries`] plus the count of corrupt stored
-    /// records skipped (see [`LutArray::export_entries_counted`]).
-    pub fn export_l1_counted(&self) -> (Vec<ExportedEntry>, u64) {
-        self.l1.export_entries_counted()
-    }
-
-    /// [`Self::export_l2_entries`] plus the count of corrupt stored
-    /// records skipped; `(vec![], 0)` when no L2 is configured.
-    pub fn export_l2_counted(&self) -> (Vec<ExportedEntry>, u64) {
-        self.l2
-            .as_ref()
-            .map(|l2| l2.export_entries_counted())
-            .unwrap_or_default()
-    }
-
-    /// Restore previously-exported entries into the L1, in order
-    /// (oldest first, so relative recency survives). Restores are
-    /// stats-neutral and fault-free (see [`LutArray::restore_entry`]).
-    /// Returns `(restored, dropped)` where `dropped` counts entries
-    /// displaced because the target L1 is smaller than the source.
-    pub fn restore_l1_entries(&mut self, entries: &[ExportedEntry]) -> (u64, u64) {
-        let mut dropped = 0u64;
-        for e in entries {
-            if !self.l1.restore_entry(e.lut_id, e.crc, e.data) {
-                dropped += 1;
-            }
-        }
-        (entries.len() as u64 - dropped, dropped)
-    }
-
-    /// Restore previously-exported entries into the L2. When no L2 is
-    /// configured every entry is dropped (returns `(0, len)`): the L1
-    /// section alone still warm-starts the hierarchy.
-    pub fn restore_l2_entries(&mut self, entries: &[ExportedEntry]) -> (u64, u64) {
-        let Some(l2) = self.l2.as_mut() else {
-            return (0, entries.len() as u64);
-        };
-        let mut dropped = 0u64;
-        for e in entries {
-            if !l2.restore_entry(e.lut_id, e.crc, e.data) {
-                dropped += 1;
-            }
-        }
-        (entries.len() as u64 - dropped, dropped)
-    }
-
-    /// Policy-selected L1 restore (see [`RestorePolicy`]).
-    /// [`RestorePolicy::OldestFirst`] is exactly
-    /// [`Self::restore_l1_entries`].
-    pub fn restore_l1_with(
+    /// Restore previously-exported entries into the L1 under `policy`
+    /// (see [`RestorePolicy`]). Restores are stats-neutral and
+    /// fault-free (see [`LutArray::restore_entry`]). Returns
+    /// `(restored, dropped)` where `dropped` counts entries the target
+    /// could not hold.
+    pub fn restore_l1_entries(
         &mut self,
         entries: &[ExportedEntry],
         policy: RestorePolicy,
     ) -> (u64, u64) {
-        match policy {
-            RestorePolicy::OldestFirst => self.restore_l1_entries(entries),
-            RestorePolicy::MruFirst => Self::restore_mru_first(&mut self.l1, entries),
-        }
+        Self::restore_into(&mut self.l1, entries, policy)
     }
 
-    /// Policy-selected L2 restore; `(0, len)` when no L2 is configured.
-    pub fn restore_l2_with(
+    /// Restore previously-exported entries into the L2 under `policy`.
+    /// When no L2 is configured every entry is dropped (returns
+    /// `(0, len)`): the L1 section alone still warm-starts the
+    /// hierarchy.
+    pub fn restore_l2_entries(
         &mut self,
         entries: &[ExportedEntry],
         policy: RestorePolicy,
     ) -> (u64, u64) {
+        match self.l2.as_mut() {
+            Some(l2) => Self::restore_into(l2, entries, policy),
+            None => (0, entries.len() as u64),
+        }
+    }
+
+    /// Restore into one array. Oldest-first replays the export stream
+    /// in order, so relative recency survives and a smaller target
+    /// displaces the least recently restored entry.
+    fn restore_into(
+        array: &mut LutArray,
+        entries: &[ExportedEntry],
+        policy: RestorePolicy,
+    ) -> (u64, u64) {
         match policy {
-            RestorePolicy::OldestFirst => self.restore_l2_entries(entries),
-            RestorePolicy::MruFirst => {
-                let Some(l2) = self.l2.as_mut() else {
-                    return (0, entries.len() as u64);
-                };
-                Self::restore_mru_first(l2, entries)
+            RestorePolicy::OldestFirst => {
+                let mut dropped = 0u64;
+                for e in entries {
+                    if !array.restore_entry(e.lut_id, e.crc, e.data) {
+                        dropped += 1;
+                    }
+                }
+                (entries.len() as u64 - dropped, dropped)
             }
+            RestorePolicy::MruFirst => Self::restore_mru_first(array, entries),
         }
     }
 
@@ -529,8 +504,8 @@ mod tests {
         for i in 0..16u64 {
             src.update(id(0), i, i * 3);
         }
-        let l1e = src.export_l1_entries();
-        let l2e = src.export_l2_entries();
+        let (l1e, _) = src.export_l1_entries();
+        let (l2e, _) = src.export_l2_entries();
         assert!(!l1e.is_empty());
         assert!(!l2e.is_empty());
 
@@ -540,8 +515,8 @@ mod tests {
             ..MemoConfig::default()
         };
         let mut dst = TwoLevelLut::new(&cfg);
-        let (r1, d1) = dst.restore_l1_entries(&l1e);
-        let (r2, _) = dst.restore_l2_entries(&l2e);
+        let (r1, d1) = dst.restore_l1_entries(&l1e, RestorePolicy::OldestFirst);
+        let (r2, _) = dst.restore_l2_entries(&l2e, RestorePolicy::OldestFirst);
         assert_eq!(r1 + d1, l1e.len() as u64);
         assert!(r2 > 0);
         // Restored state serves hits without any prior lookups/inserts
@@ -558,9 +533,12 @@ mod tests {
         for i in 0..16u64 {
             src.update(id(0), i, i);
         }
-        let l2e = src.export_l2_entries();
-        let mut dst = TwoLevelLut::new(&MemoConfig::l1_only(64));
-        assert_eq!(dst.restore_l2_entries(&l2e), (0, l2e.len() as u64));
+        let (l2e, _) = src.export_l2_entries();
+        assert!(!l2e.is_empty());
+        for policy in [RestorePolicy::OldestFirst, RestorePolicy::MruFirst] {
+            let mut dst = TwoLevelLut::new(&MemoConfig::l1_only(64));
+            assert_eq!(dst.restore_l2_entries(&l2e, policy), (0, l2e.len() as u64));
+        }
     }
 
     #[test]

@@ -649,9 +649,8 @@ impl MemoizationUnit {
         // wipe. Only the first invalidate captures — subsequent ones
         // (multi-LUT programs) see a partially-wiped array.
         if self.capture_armed && self.warm_image.is_none() {
-            self.warm_image = Some(crate::snapshot::MemoSnapshot::capture_tel(
+            self.warm_image = Some(crate::snapshot::MemoSnapshot::capture(
                 &self.lut,
-                None,
                 Some(&self.quality),
                 tel,
             ));
@@ -723,36 +722,27 @@ impl MemoizationUnit {
         self.warm_image.take().or_else(|| {
             Some(crate::snapshot::MemoSnapshot::capture(
                 &self.lut,
-                None,
                 Some(&self.quality),
+                &mut Telemetry::off(),
             ))
         })
     }
 
     /// Warm-start the unit from a recovered snapshot: reinstall the LUT
-    /// entries (stats-neutral and fault-free — restored entries never
-    /// count as this run's inserts, lookups or hits) and resume the
-    /// quality-monitor ladder where the donor left it. Run statistics
-    /// and pending state are untouched; call [`Self::reset`] first for
-    /// a clean run.
+    /// entries under `policy` (stats-neutral and fault-free — restored
+    /// entries never count as this run's inserts, lookups or hits) and,
+    /// under [`RestorePolicy::OldestFirst`], resume the quality-monitor
+    /// ladder where the donor left it. [`RestorePolicy::MruFirst`]
+    /// bounds restore pollution for scan-dominated workloads (see
+    /// `EXPERIMENTS.md`). Run statistics and pending state are
+    /// untouched; call [`Self::reset`] first for a clean run.
     pub fn restore_warm(
-        &mut self,
-        snapshot: &crate::snapshot::MemoSnapshot,
-    ) -> crate::snapshot::RestoreSummary {
-        self.restore_warm_with(snapshot, RestorePolicy::OldestFirst)
-    }
-
-    /// [`Self::restore_warm`] with an explicit [`RestorePolicy`].
-    /// [`RestorePolicy::OldestFirst`] reproduces [`Self::restore_warm`]
-    /// byte-for-byte; [`RestorePolicy::MruFirst`] bounds restore
-    /// pollution for scan-dominated workloads (see `EXPERIMENTS.md`).
-    pub fn restore_warm_with(
         &mut self,
         snapshot: &crate::snapshot::MemoSnapshot,
         policy: RestorePolicy,
     ) -> crate::snapshot::RestoreSummary {
-        let (l1_restored, l1_dropped) = self.lut.restore_l1_with(&snapshot.l1_entries, policy);
-        let (l2_restored, l2_dropped) = self.lut.restore_l2_with(&snapshot.l2_entries, policy);
+        let (l1_restored, l1_dropped) = self.lut.restore_l1_entries(&snapshot.l1_entries, policy);
+        let (l2_restored, l2_dropped) = self.lut.restore_l2_entries(&snapshot.l2_entries, policy);
         // MruFirst is the fresh-biased policy: the warm run keeps the
         // donor's hottest entries but re-earns any quality degradation
         // from its own sampled comparisons. Resuming a donor ladder
@@ -1187,7 +1177,7 @@ mod tests {
         let image = donor.take_warm_image().unwrap();
 
         let mut fresh = unit();
-        let summary = fresh.restore_warm(&image);
+        let summary = fresh.restore_warm(&image, RestorePolicy::OldestFirst);
         assert_eq!(summary.l1_restored, 50);
         assert_eq!(summary.l1_dropped, 0);
         assert!(summary.quality_restored);

@@ -715,7 +715,7 @@ fn memo_leg(
     let mut recovery: Option<RecoveryReport> = None;
     let mut warm_image: Option<MemoSnapshot> = None;
     if let Some(path) = plan.and_then(|p| p.restore_from.as_deref()) {
-        let (snap, report) = MemoSnapshot::load_tel(path, tel)?;
+        let (snap, report) = MemoSnapshot::load(path, tel)?;
         warm_image = snap;
         recovery = Some(report);
     }
@@ -766,7 +766,7 @@ fn memo_leg(
     if let Some(plan) = plan {
         if let Some(unit) = memo_sim.memo_unit_mut() {
             if let Some(image) = &warm_image {
-                let summary = unit.restore_warm_with(image, plan.restore_policy);
+                let summary = unit.restore_warm(image, plan.restore_policy);
                 if let Some(rec) = recovery.as_mut() {
                     rec.applied = Some(summary);
                 }
@@ -837,7 +837,7 @@ fn memo_leg(
             .memo_unit_mut()
             .and_then(|u| u.take_warm_image())
             .unwrap_or_default();
-        image.write_atomic_tel(path, tel)?;
+        image.write_atomic(path, tel)?;
     }
     Ok(RunReport {
         result,

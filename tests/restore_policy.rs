@@ -1,5 +1,5 @@
 //! Warm-restore policy tests: the default `OldestFirst` policy must
-//! reproduce the historical restore byte-for-byte, while the opt-in
+//! reproduce the donor's entries and LRU order exactly, while the opt-in
 //! fresh-biased `MruFirst` policy pins the warm-restore pathology fix
 //! from EXPERIMENTS.md — a warm sobel run at small scale must no
 //! longer underperform a cold one.
@@ -117,7 +117,7 @@ fn mru_policy_starts_quality_ladder_fresh() {
     });
 
     let mut resumed = MemoizationUnit::new(MemoConfig::l1_only(4 * 1024)).expect("valid config");
-    let summary = resumed.restore_warm_with(&snap, RestorePolicy::OldestFirst);
+    let summary = resumed.restore_warm(&snap, RestorePolicy::OldestFirst);
     assert!(
         summary.quality_restored,
         "default policy resumes the ladder"
@@ -125,7 +125,7 @@ fn mru_policy_starts_quality_ladder_fresh() {
     assert_eq!(resumed.quality_stage(), DegradationStage::ReducedTruncation);
 
     let mut fresh = MemoizationUnit::new(MemoConfig::l1_only(4 * 1024)).expect("valid config");
-    let summary = fresh.restore_warm_with(&snap, RestorePolicy::MruFirst);
+    let summary = fresh.restore_warm(&snap, RestorePolicy::MruFirst);
     assert!(
         !summary.quality_restored,
         "fresh-biased policy must not resume the donor ladder"
@@ -148,15 +148,15 @@ fn mru_policy_caps_restored_occupancy_at_half_the_ways() {
     assert!(ways >= 2, "test premise: associative L1");
 
     let mut capped = MemoizationUnit::new(MemoConfig::l1_only(4 * 1024)).expect("valid config");
-    let summary = capped.restore_warm_with(&donor, RestorePolicy::MruFirst);
+    let summary = capped.restore_warm(&donor, RestorePolicy::MruFirst);
     let full = MemoizationUnit::new(MemoConfig::l1_only(4 * 1024))
         .map(|mut u| {
-            u.restore_warm_with(&donor, RestorePolicy::OldestFirst);
+            u.restore_warm(&donor, RestorePolicy::OldestFirst);
             u
         })
         .expect("valid config");
-    let (full_entries, _) = full.lut().export_l1_counted();
-    let (capped_entries, _) = capped.lut().export_l1_counted();
+    let (full_entries, _) = full.lut().export_l1_entries();
+    let (capped_entries, _) = capped.lut().export_l1_entries();
     assert!(
         capped_entries.len() <= full_entries.len(),
         "capped restore admits no more than the full restore"
@@ -179,8 +179,8 @@ fn mru_policy_caps_restored_occupancy_at_half_the_ways() {
     }
 }
 
-/// The default policy remains byte-identical to the historical
-/// `restore_warm` entry point.
+/// An `OldestFirst` restore into a unit of equal geometry reproduces
+/// the donor image's L1 entries and LRU order exactly.
 #[test]
 fn oldest_first_matches_legacy_restore_bytes() {
     let donor = {
@@ -188,12 +188,15 @@ fn oldest_first_matches_legacy_restore_bytes() {
         unit.arm_warm_capture();
         unit.take_warm_image().expect("warm image")
     };
-    let mut legacy = MemoizationUnit::new(MemoConfig::l1_only(4 * 1024)).expect("valid config");
-    let legacy_summary = legacy.restore_warm(&donor);
-    let mut explicit = MemoizationUnit::new(MemoConfig::l1_only(4 * 1024)).expect("valid config");
-    let explicit_summary = explicit.restore_warm_with(&donor, RestorePolicy::OldestFirst);
-    assert_eq!(legacy_summary, explicit_summary);
-    let (a, _) = legacy.lut().export_l1_counted();
-    let (b, _) = explicit.lut().export_l1_counted();
-    assert_eq!(a, b, "explicit OldestFirst must match restore_warm exactly");
+    assert!(!donor.l1_entries.is_empty(), "test premise: warm donor");
+    let mut unit = MemoizationUnit::new(MemoConfig::l1_only(4 * 1024)).expect("valid config");
+    let summary = unit.restore_warm(&donor, RestorePolicy::OldestFirst);
+    assert_eq!(summary.l1_restored, donor.l1_entries.len() as u64);
+    assert_eq!(summary.l1_dropped, 0);
+    let (restored, skipped) = unit.lut().export_l1_entries();
+    assert_eq!(skipped, 0);
+    assert_eq!(
+        restored, donor.l1_entries,
+        "OldestFirst must reproduce the donor's entries in LRU order"
+    );
 }

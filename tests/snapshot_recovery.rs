@@ -15,7 +15,7 @@ use std::path::PathBuf;
 use axmemo_bench::{run, RunRequest, SnapshotPlan};
 use axmemo_core::config::MemoConfig;
 use axmemo_core::ids::{LutId, ThreadId};
-use axmemo_core::snapshot::{CrashMode, CrashPoint, MemoSnapshot, RecoveryOutcome};
+use axmemo_core::snapshot::{CrashMode, CrashPoint, MemoSnapshot, RecoveryOutcome, RestorePolicy};
 use axmemo_core::truncate::InputValue;
 use axmemo_core::two_level::TwoLevelLut;
 use axmemo_core::unit::{LookupResult, MemoizationUnit};
@@ -92,7 +92,7 @@ fn crash_sweep_never_admits_corruption() {
         for mode in [CrashMode::Truncate, CrashMode::BitFlip] {
             let mut corrupt = bytes.clone();
             CrashPoint::seeded(seed, mode, corrupt.len()).apply(&mut corrupt);
-            let (state, report) = MemoSnapshot::recover(&corrupt);
+            let (state, report) = MemoSnapshot::recover(&corrupt, &mut Telemetry::off());
             match state {
                 Some(recovered) => {
                     restored += 1;
@@ -142,11 +142,11 @@ fn crash_sweep_restores_into_live_unit_safely() {
     for seed in 0..64u64 {
         let mut corrupt = bytes.clone();
         CrashPoint::seeded(seed, CrashMode::BitFlip, corrupt.len()).apply(&mut corrupt);
-        let (state, _report) = MemoSnapshot::recover(&corrupt);
+        let (state, _report) = MemoSnapshot::recover(&corrupt, &mut Telemetry::off());
         let Some(recovered) = state else { continue };
         let mut unit =
             MemoizationUnit::new(MemoConfig::l1_l2(4 * 1024, 64 * 1024)).expect("valid config");
-        let summary = unit.restore_warm(&recovered);
+        let summary = unit.restore_warm(&recovered, RestorePolicy::OldestFirst);
         assert!(
             summary.l1_restored as usize <= original.len(),
             "seed {seed}: more entries restored than the donor ever held"
@@ -309,7 +309,7 @@ fn corrupt_stored_lut_id_degrades_instead_of_panicking() {
     for crc in 0..64u64 {
         lut.update(lut_id, crc, crc + 100);
     }
-    let (clean, skipped) = lut.export_l1_counted();
+    let (clean, skipped) = lut.export_l1_entries();
     assert_eq!(skipped, 0);
     assert!(!clean.is_empty());
 
@@ -322,13 +322,13 @@ fn corrupt_stored_lut_id_degrades_instead_of_panicking() {
     );
 
     // Export path: the bad record is skipped and counted, not a panic.
-    let (dirty, skipped) = lut.export_l1_counted();
+    let (dirty, skipped) = lut.export_l1_entries();
     assert_eq!(skipped, 1, "exactly the corrupted record is skipped");
     assert_eq!(dirty.len(), clean.len() - 1);
 
     // Armed-capture path: the skip lands in snapshot telemetry.
     let mut tel = Telemetry::enabled();
-    let snap = MemoSnapshot::capture_tel(&lut, None, None, &mut tel);
+    let snap = MemoSnapshot::capture(&lut, None, &mut tel);
     assert_eq!(snap.l1_entries.len(), clean.len() - 1);
     assert_eq!(tel.registry().counter("snapshot.capture.bad_records"), 1);
 
@@ -354,7 +354,7 @@ fn clean_capture_emits_no_bad_record_counter() {
         lut.update(lut_id, crc, crc);
     }
     let mut tel = Telemetry::enabled();
-    let _ = MemoSnapshot::capture_tel(&lut, None, None, &mut tel);
+    let _ = MemoSnapshot::capture(&lut, None, &mut tel);
     assert_eq!(tel.registry().counter("snapshot.capture.bad_records"), 0);
     assert!(
         !tel.registry()
