@@ -13,12 +13,20 @@
 //!   *bit* per step. It is the specification against which the faster
 //!   variants are property-tested.
 //! * [`TableCrc`] — the byte-parallel (n = 8) implementation. In hardware
-//!   this needs a `2^8 × m`-bit constant RAM; in software it is the classic
-//!   table-driven algorithm. This is what the memoization unit instantiates
-//!   (one byte per cycle, matching Table 4's "one cycle for each byte").
-//! * [`PipelinedCrc`] — the 4×-unrolled, pipelined variant from §6.1 used
-//!   to match the throughput of a 4-byte-per-cycle input stream. It is
-//!   bit-identical to the others; only its [`HardwareTiming`] differs.
+//!   this needs a `2^8 × m`-bit constant RAM (one byte per cycle, matching
+//!   Table 4's "one cycle for each byte"). In software it hashes byte
+//!   slices eight and four bytes at a time with slice-by-8 tables and
+//!   finishes the tail with the byte table.
+//! * [`PipelinedCrc`] — the 4×-unrolled, pipelined unit of §6.1 that
+//!   absorbs a whole 1-, 4- or 8-byte input word per step
+//!   ([`CrcAlgorithm::feed_word`]). This is what the memoization unit
+//!   instantiates. It is bit-identical to the others; only its
+//!   [`HardwareTiming`] differs.
+//!
+//! The slice-by-8 tables are built at compile time, one `static` per
+//! width, so a unit owns no table memory. [`TableCrc::constant_ram_bytes`]
+//! still reports the hardware's single 256-entry RAM: the extra tables
+//! are how software unrolls the loop, not a modelled cost.
 //!
 //! # Examples
 //!
@@ -58,7 +66,7 @@ impl CrcWidth {
     }
 
     /// The reflected generator polynomial used for this width.
-    pub fn polynomial(self) -> u64 {
+    pub const fn polynomial(self) -> u64 {
         match self {
             // CRC-16/CCITT (reflected 0x1021)
             CrcWidth::W16 => 0x8408,
@@ -70,13 +78,95 @@ impl CrcWidth {
     }
 
     /// Mask selecting the low `bits()` bits of a `u64`.
-    pub fn mask(self) -> u64 {
+    pub const fn mask(self) -> u64 {
         match self {
             CrcWidth::W16 => 0xFFFF,
             CrcWidth::W32 => 0xFFFF_FFFF,
             CrcWidth::W64 => u64::MAX,
         }
     }
+
+    /// This width's compile-time slice-by-8 tables.
+    fn tables(self) -> &'static SliceTables {
+        match self {
+            CrcWidth::W16 => &TABLES_W16,
+            CrcWidth::W32 => &TABLES_W32,
+            CrcWidth::W64 => &TABLES_W64,
+        }
+    }
+}
+
+/// Slice-by-8 tables: `t[k][b]` is the register contribution of input
+/// byte `b` followed by `k` zero bytes. `t[0]` is the classic byte table.
+type SliceTables = [[u64; 256]; 8];
+
+const fn slice_tables(width: CrcWidth) -> SliceTables {
+    let poly = width.polynomial();
+    let mask = width.mask();
+    let mut t = [[0u64; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u64;
+        let mut bit = 0;
+        while bit < 8 {
+            // Reflected form: shift right, XOR polynomial on carry-out.
+            crc = if crc & 1 == 1 {
+                (crc >> 1) ^ poly
+            } else {
+                crc >> 1
+            };
+            bit += 1;
+        }
+        t[0][i] = crc & mask;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
+static TABLES_W16: SliceTables = slice_tables(CrcWidth::W16);
+static TABLES_W32: SliceTables = slice_tables(CrcWidth::W32);
+static TABLES_W64: SliceTables = slice_tables(CrcWidth::W64);
+
+/// Absorb one byte: the byte-table step.
+#[inline(always)]
+fn absorb1(t: &SliceTables, crc: u64, byte: u8) -> u64 {
+    (crc >> 8) ^ t[0][((crc ^ u64::from(byte)) & 0xFF) as usize]
+}
+
+/// Absorb the low four bytes of `word` (little-endian order) in one step.
+/// Register bits above the four consumed bytes shift down unchanged.
+#[inline(always)]
+fn absorb4(t: &SliceTables, crc: u64, word: u64) -> u64 {
+    let x = crc ^ (word & 0xFFFF_FFFF);
+    (crc >> 32)
+        ^ t[3][(x & 0xFF) as usize]
+        ^ t[2][((x >> 8) & 0xFF) as usize]
+        ^ t[1][((x >> 16) & 0xFF) as usize]
+        ^ t[0][((x >> 24) & 0xFF) as usize]
+}
+
+/// Absorb all eight bytes of `word` (little-endian order) in one step.
+#[inline(always)]
+fn absorb8(t: &SliceTables, crc: u64, word: u64) -> u64 {
+    let x = crc ^ word;
+    t[7][(x & 0xFF) as usize]
+        ^ t[6][((x >> 8) & 0xFF) as usize]
+        ^ t[5][((x >> 16) & 0xFF) as usize]
+        ^ t[4][((x >> 24) & 0xFF) as usize]
+        ^ t[3][((x >> 32) & 0xFF) as usize]
+        ^ t[2][((x >> 40) & 0xFF) as usize]
+        ^ t[1][((x >> 48) & 0xFF) as usize]
+        ^ t[0][(x >> 56) as usize]
 }
 
 impl fmt::Display for CrcWidth {
@@ -139,6 +229,16 @@ pub trait CrcAlgorithm: fmt::Debug {
 
     /// Absorb `data` into `state`, one byte at a time in order.
     fn feed(&self, state: &mut CrcState, data: &[u8]);
+
+    /// Absorb the low `bytes` bytes of `word`, least-significant byte
+    /// first: the same as feeding `&word.to_le_bytes()[..bytes]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bytes > 8`.
+    fn feed_word(&self, state: &mut CrcState, word: u64, bytes: usize) {
+        self.feed(state, &word.to_le_bytes()[..bytes]);
+    }
 
     /// Produce the final CRC value (final XOR applied).
     fn finalize(&self, state: CrcState) -> u64;
@@ -231,36 +331,36 @@ impl CrcAlgorithm for SerialCrc {
 ///
 /// In hardware the 256-entry constant table is a `2^8 × m`-bit RAM (1 KB
 /// for CRC-32). Processes one byte per cycle, matching Table 4's latency
-/// for `ld_crc`/`reg_crc`.
-#[derive(Debug, Clone)]
+/// for `ld_crc`/`reg_crc`. In software, [`CrcAlgorithm::feed`] consumes
+/// eight- and four-byte chunks through the shared slice-by-8 tables and
+/// the tail through the byte table; the result is the same as the
+/// byte-at-a-time loop for any split of the input.
+#[derive(Clone, Copy)]
 pub struct TableCrc {
     width: CrcWidth,
-    table: Box<[u64; 256]>,
+    tables: &'static SliceTables,
 }
 
 impl TableCrc {
-    /// Build the unit, precomputing the 256-entry constant RAM.
+    /// Build the unit. Its tables are the width's compile-time statics.
     pub fn new(width: CrcWidth) -> Self {
-        let poly = width.polynomial();
-        let mask = width.mask();
-        let mut table = Box::new([0u64; 256]);
-        for (i, slot) in table.iter_mut().enumerate() {
-            let mut crc = i as u64;
-            for _ in 0..8 {
-                let lsb = crc & 1;
-                crc >>= 1;
-                if lsb == 1 {
-                    crc ^= poly;
-                }
-            }
-            *slot = crc & mask;
+        Self {
+            width,
+            tables: width.tables(),
         }
-        Self { width, table }
     }
 
     /// Size in bytes of the constant RAM (for the energy/area model).
     pub fn constant_ram_bytes(&self) -> usize {
         256 * (self.width.bits() as usize / 8)
+    }
+}
+
+impl fmt::Debug for TableCrc {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("TableCrc")
+            .field("width", &self.width)
+            .finish_non_exhaustive()
     }
 }
 
@@ -271,13 +371,34 @@ impl CrcAlgorithm for TableCrc {
 
     fn feed(&self, state: &mut CrcState, data: &[u8]) {
         debug_assert_eq!(state.width, self.width, "state/unit width mismatch");
-        let mask = self.width.mask();
+        let t = self.tables;
         let mut crc = state.value;
-        for &byte in data {
-            let idx = ((crc ^ u64::from(byte)) & 0xFF) as usize;
-            crc = (crc >> 8) ^ self.table[idx];
+        let mut chunks = data.chunks_exact(8);
+        for chunk in &mut chunks {
+            let word = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
+            crc = absorb8(t, crc, word);
         }
-        state.value = crc & mask;
+        let mut tail = chunks.remainder();
+        if let Some((word, rest)) = tail.split_first_chunk::<4>() {
+            crc = absorb4(t, crc, u64::from(u32::from_le_bytes(*word)));
+            tail = rest;
+        }
+        for &byte in tail {
+            crc = absorb1(t, crc, byte);
+        }
+        state.value = crc;
+    }
+
+    #[inline]
+    fn feed_word(&self, state: &mut CrcState, word: u64, bytes: usize) {
+        debug_assert_eq!(state.width, self.width, "state/unit width mismatch");
+        let t = self.tables;
+        match bytes {
+            1 => state.value = absorb1(t, state.value, word as u8),
+            4 => state.value = absorb4(t, state.value, word),
+            8 => state.value = absorb8(t, state.value, word),
+            _ => self.feed(state, &word.to_le_bytes()[..bytes]),
+        }
     }
 
     fn finalize(&self, state: CrcState) -> u64 {
@@ -301,9 +422,12 @@ impl CrcAlgorithm for TableCrc {
 /// input, we unrolled the 32-bit CRC unit four times and apply
 /// pipelining").
 ///
-/// Functionally identical to [`TableCrc`]; consumes 4 bytes per cycle
-/// with a 2-stage pipeline.
-#[derive(Debug, Clone)]
+/// This is the word-wide unit of §6.1 in software as well:
+/// [`CrcAlgorithm::feed_word`] absorbs a whole 1-, 4- or 8-byte input in
+/// one slice-by-4/8 step instead of a byte loop. Functionally identical
+/// to [`TableCrc`]; its timing model consumes 4 bytes per cycle with a
+/// 2-stage pipeline.
+#[derive(Debug, Clone, Copy)]
 pub struct PipelinedCrc {
     inner: TableCrc,
 }
@@ -324,6 +448,11 @@ impl CrcAlgorithm for PipelinedCrc {
 
     fn feed(&self, state: &mut CrcState, data: &[u8]) {
         self.inner.feed(state, data);
+    }
+
+    #[inline]
+    fn feed_word(&self, state: &mut CrcState, word: u64, bytes: usize) {
+        self.inner.feed_word(state, word, bytes);
     }
 
     fn finalize(&self, state: CrcState) -> u64 {

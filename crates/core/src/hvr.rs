@@ -37,7 +37,7 @@ pub struct HashValueRegisters {
 impl HashValueRegisters {
     /// Allocate the register file for `threads` SMT threads, with every
     /// register preset to the CRC init state.
-    pub fn new(crc: &dyn CrcAlgorithm, threads: usize) -> Self {
+    pub fn new<C: CrcAlgorithm + ?Sized>(crc: &C, threads: usize) -> Self {
         assert!(threads > 0, "at least one thread");
         Self {
             regs: vec![crc.init(); MAX_LUTS * threads],
@@ -55,6 +55,7 @@ impl HashValueRegisters {
         self.regs.is_empty()
     }
 
+    #[inline]
     fn slot(&self, lut: LutId, tid: ThreadId) -> usize {
         assert!(
             tid.index() < self.threads,
@@ -65,14 +66,38 @@ impl HashValueRegisters {
     }
 
     /// Stream `data` into the register named `{lut, tid}`.
-    pub fn accumulate(&mut self, crc: &dyn CrcAlgorithm, lut: LutId, tid: ThreadId, data: &[u8]) {
+    #[inline]
+    pub fn accumulate<C: CrcAlgorithm + ?Sized>(
+        &mut self,
+        crc: &C,
+        lut: LutId,
+        tid: ThreadId,
+        data: &[u8],
+    ) {
         let i = self.slot(lut, tid);
         crc.feed(&mut self.regs[i], data);
     }
 
+    /// Stream one input word, the low `bytes` bytes of `word` in
+    /// little-endian order, into the register named `{lut, tid}` (see
+    /// [`CrcAlgorithm::feed_word`]).
+    #[inline]
+    pub fn accumulate_word<C: CrcAlgorithm + ?Sized>(
+        &mut self,
+        crc: &C,
+        lut: LutId,
+        tid: ThreadId,
+        word: u64,
+        bytes: usize,
+    ) {
+        let i = self.slot(lut, tid);
+        crc.feed_word(&mut self.regs[i], word, bytes);
+    }
+
     /// Read out the finalised CRC value and reset the register for the
     /// next memoization instance (done as part of `lookup`/`update`).
-    pub fn take(&mut self, crc: &dyn CrcAlgorithm, lut: LutId, tid: ThreadId) -> u64 {
+    #[inline]
+    pub fn take<C: CrcAlgorithm + ?Sized>(&mut self, crc: &C, lut: LutId, tid: ThreadId) -> u64 {
         let i = self.slot(lut, tid);
         let v = crc.finalize(self.regs[i]);
         self.regs[i] = crc.init();
@@ -130,6 +155,18 @@ mod tests {
         let first = hvr.take(&crc, lut, t);
         hvr.accumulate(&crc, lut, t, b"first");
         assert_eq!(hvr.take(&crc, lut, t), first);
+    }
+
+    #[test]
+    fn word_feed_equals_byte_feed() {
+        let (crc, mut hvr) = setup();
+        let (a, b) = (LutId::new(0).unwrap(), LutId::new(1).unwrap());
+        let t = ThreadId(1);
+        for (word, bytes) in [(0xAB, 1), (0xDEAD_BEEF, 4), (0x0123_4567_89AB_CDEF, 8)] {
+            hvr.accumulate_word(&crc, a, t, word, bytes);
+            hvr.accumulate(&crc, b, t, &u64::to_le_bytes(word)[..bytes]);
+        }
+        assert_eq!(hvr.take(&crc, a, t), hvr.take(&crc, b, t));
     }
 
     #[test]

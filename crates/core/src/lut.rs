@@ -293,6 +293,7 @@ impl LutArray {
 
     /// Look up `{lut_id, crc}`; on a hit the entry's LRU stamp is
     /// refreshed and its data returned.
+    #[inline]
     pub fn lookup(&mut self, lut_id: LutId, crc: u64) -> LookupOutcome {
         let set = self.set_index(crc);
         let tag = self.tag_of(crc);
@@ -336,6 +337,7 @@ impl LutArray {
     /// Returns the valid victim displaced by LRU replacement, if any —
     /// the caller forwards it to the next LUT level (inclusive L2) or
     /// drops it at the last level.
+    #[inline]
     pub fn insert(&mut self, lut_id: LutId, crc: u64, data: u64) -> Option<Evicted> {
         let set = self.set_index(crc);
         let tag = self.tag_of(crc);

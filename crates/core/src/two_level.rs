@@ -116,6 +116,7 @@ impl TwoLevelLut {
     /// `lut.miss` event per probe (so event totals reconcile with
     /// [`Self::total_hit_rate`]), plus `lut.promote`/`lut.evict` events
     /// for inter-level traffic.
+    #[inline]
     pub fn lookup_tel(&mut self, lut_id: LutId, crc: u64, tel: &mut Telemetry) -> TwoLevelOutcome {
         tel.count("lut.probes", 1);
         if let LookupOutcome::Hit(d) = self.l1.lookup(lut_id, crc) {
@@ -197,6 +198,7 @@ impl TwoLevelLut {
 
     /// [`Self::update`] with telemetry: counts insertions and emits
     /// `lut.evict` events for entries truly lost at the last level.
+    #[inline]
     pub fn update_tel(&mut self, lut_id: LutId, crc: u64, data: u64, tel: &mut Telemetry) {
         tel.count("lut.updates", 1);
         let victim = self.l1.insert(lut_id, crc, data);

@@ -26,7 +26,7 @@ use crate::quality::{
     TRUNC_BACKOFF_BITS,
 };
 use crate::snapshot::RestorePolicy;
-use crate::truncate::{InputValue, TruncatedBytes};
+use crate::truncate::{truncate_bits, InputValue};
 use crate::two_level::{HitLevel, TwoLevelLut, TwoLevelOutcome};
 use axmemo_telemetry::{PhaseId, Telemetry, Value};
 
@@ -287,6 +287,7 @@ impl MemoizationUnit {
 
     /// Extra cycles per LUT access charged for ECC checking under the
     /// configured protection scheme.
+    #[inline]
     fn ecc_cycles(&self) -> u64 {
         if self.config.faults.protection == Protection::EccProtected {
             self.timing.ecc_check
@@ -295,6 +296,7 @@ impl MemoizationUnit {
         }
     }
 
+    #[inline]
     fn pending_slot(&self, lut: LutId, tid: ThreadId) -> usize {
         tid.index() * crate::ids::MAX_LUTS + lut.index()
     }
@@ -310,6 +312,7 @@ impl MemoizationUnit {
     }
 
     /// [`Self::feed`] with telemetry (counts input bytes streamed).
+    #[inline]
     pub fn feed_tel(
         &mut self,
         lut: LutId,
@@ -325,11 +328,14 @@ impl MemoizationUnit {
         } else {
             trunc_bits
         };
-        let (bytes, len) = value.truncated_bytes(trunc);
-        self.hvr.accumulate(&self.crc, lut, tid, &bytes[..len]);
+        // One word per input, as the §6.1 unit absorbs it; the same
+        // little-endian bytes `TruncatedBytes::truncated_bytes` yields.
+        let len = value.byte_width();
+        let word = truncate_bits(value.raw_bits(), trunc);
+        self.hvr.accumulate_word(&self.crc, lut, tid, word, len);
         if self.event_log.is_some() {
             let slot = self.pending_slot(lut, tid);
-            self.staged_bytes[slot].extend_from_slice(&bytes[..len]);
+            self.staged_bytes[slot].extend_from_slice(&word.to_le_bytes()[..len]);
         }
         self.stats.input_bytes += len as u64;
         tel.count("unit.input_bytes", len as u64);
@@ -359,6 +365,7 @@ impl MemoizationUnit {
     /// [`Self::lookup`] with telemetry: the LUT hierarchy emits one
     /// `lut.hit`/`lut.miss` event per probe; this layer adds
     /// quality-monitor sampling/disable events.
+    #[inline]
     pub fn lookup_tel(&mut self, lut: LutId, tid: ThreadId, tel: &mut Telemetry) -> LookupResult {
         let crc = self.hvr.take(&self.crc, lut, tid);
         self.stats.lookups += 1;
@@ -484,6 +491,7 @@ impl MemoizationUnit {
     }
 
     /// Cycle cost of the most recent lookup outcome.
+    #[inline]
     pub fn lookup_cycles(&self, result: &LookupResult) -> u64 {
         match result {
             LookupResult::Hit {
@@ -523,6 +531,7 @@ impl MemoizationUnit {
     /// sampled-miss comparisons, `quality.reject` when the comparison
     /// exceeds the error threshold, and `quality.tripped` on the
     /// transition that disables memoization for the rest of the run.
+    #[inline]
     pub fn update_tel(&mut self, lut: LutId, tid: ThreadId, data: u64, tel: &mut Telemetry) -> u64 {
         let slot = self.pending_slot(lut, tid);
         let Some(p) = self.pending[slot].take() else {

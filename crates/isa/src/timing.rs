@@ -103,6 +103,45 @@ mod tests {
         assert_eq!(t.invalidate_cycles_per_way, 1);
     }
 
+    /// Table 4 is defined twice: here (what `table4_5` prints) and as
+    /// the memoization unit's `UnitTiming` (what the simulator charges).
+    /// Both destructurings are exhaustive, so a field added to either
+    /// side fails to compile until it is paired here.
+    #[test]
+    fn paper_timing_matches_the_unit_the_simulator_charges() {
+        let MemoTiming {
+            crc_cycles_per_byte,
+            lookup_l1_cycles,
+            lookup_l2_cycles,
+            update_cycles,
+            invalidate_cycles_per_way,
+            // Folded into the latencies above (§6.1); the unit has no
+            // separate charge for it.
+            dummy_reg_overhead: _,
+            ecc_check_cycles,
+        } = MemoTiming::paper();
+        let axmemo_core::unit::UnitTiming {
+            cycles_per_input_byte,
+            lookup_l1,
+            lookup_l2,
+            update,
+            invalidate_per_way,
+            ecc_check,
+        } = axmemo_core::unit::UnitTiming::default();
+        assert_eq!(
+            crc_cycles_per_byte, cycles_per_input_byte,
+            "CRC cycles/byte"
+        );
+        assert_eq!(lookup_l1_cycles, lookup_l1, "L1 lookup");
+        assert_eq!(lookup_l2_cycles, lookup_l2, "L2 lookup");
+        assert_eq!(update_cycles, update, "update");
+        assert_eq!(
+            invalidate_cycles_per_way, invalidate_per_way,
+            "invalidate/way"
+        );
+        assert_eq!(ecc_check_cycles, ecc_check, "ECC check");
+    }
+
     #[test]
     fn cpu_cycles_dispatch() {
         let t = MemoTiming::paper();

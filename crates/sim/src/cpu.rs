@@ -82,30 +82,46 @@ impl Machine {
     }
 
     /// Read `width` bytes at `addr` (little-endian, zero-extended).
+    #[inline]
     pub fn load(&self, addr: u64, width: MemWidth) -> Result<u64, SimError> {
-        let n = width.bytes();
-        // `addr + n` can overflow for near-`u64::MAX` addresses; the
-        // checked range keeps that a structured fault, not a panic.
-        let bytes = usize::try_from(addr)
-            .ok()
-            .and_then(|a| a.checked_add(n).map(|end| a..end))
-            .and_then(|range| self.mem.get(range))
-            .ok_or(SimError::MemOutOfBounds { addr, width })?;
-        let mut buf = [0u8; 8];
-        buf[..n].copy_from_slice(bytes);
-        Ok(u64::from_le_bytes(buf))
+        match width {
+            MemWidth::B1 => self.bytes::<1>(addr).map(|b| u64::from(b[0])),
+            MemWidth::B4 => self
+                .bytes::<4>(addr)
+                .map(|b| u64::from(u32::from_le_bytes(*b))),
+            MemWidth::B8 => self.bytes::<8>(addr).map(|b| u64::from_le_bytes(*b)),
+        }
+        .ok_or(SimError::MemOutOfBounds { addr, width })
     }
 
     /// Write the low `width` bytes of `value` at `addr`.
+    #[inline]
     pub fn store(&mut self, addr: u64, width: MemWidth, value: u64) -> Result<(), SimError> {
-        let n = width.bytes();
-        let dst = usize::try_from(addr)
-            .ok()
-            .and_then(|a| a.checked_add(n).map(|end| a..end))
-            .and_then(|range| self.mem.get_mut(range))
-            .ok_or(SimError::MemOutOfBounds { addr, width })?;
-        dst.copy_from_slice(&value.to_le_bytes()[..n]);
-        Ok(())
+        match width {
+            MemWidth::B1 => self.bytes_mut::<1>(addr).map(|b| *b = [value as u8]),
+            MemWidth::B4 => self
+                .bytes_mut::<4>(addr)
+                .map(|b| *b = (value as u32).to_le_bytes()),
+            MemWidth::B8 => self.bytes_mut::<8>(addr).map(|b| *b = value.to_le_bytes()),
+        }
+        .ok_or(SimError::MemOutOfBounds { addr, width })
+    }
+
+    /// The `N` bytes at `addr` as a fixed-size array, so an access is
+    /// one load rather than a variable-length copy. `addr + N` can
+    /// overflow for near-`u64::MAX` addresses; the checked range keeps
+    /// that a structured fault, not a panic.
+    #[inline(always)]
+    fn bytes<const N: usize>(&self, addr: u64) -> Option<&[u8; N]> {
+        let a = usize::try_from(addr).ok()?;
+        self.mem.get(a..a.checked_add(N)?)?.try_into().ok()
+    }
+
+    /// Mutable twin of [`Self::bytes`].
+    #[inline(always)]
+    fn bytes_mut<const N: usize>(&mut self, addr: u64) -> Option<&mut [u8; N]> {
+        let a = usize::try_from(addr).ok()?;
+        self.mem.get_mut(a..a.checked_add(N)?)?.try_into().ok()
     }
 
     /// Convenience: write an f32 at `addr`.
